@@ -3,10 +3,11 @@
 Trains the base and Fourier-feature agents on a scaled-down configuration
 (shared channel streams per seed, so the comparison is paired), writes
 metrics.csv and checkpoints under demo_runs/, and renders the training
-curves to an SVG.  The full-size presets are available through the CLI:
+curves to an SVG.  The full-size presets are available through the CLI,
+which reads a config file (here cfg.json holding {"preset": "desk"}):
 
-    irsrl train --config '{"preset": "desk"}' --variant ff --out runs/ff
-    irsrl compare --config '{"preset": "desk"}' --sweep variant
+    irsrl train --config cfg.json --variant ff --out runs/ff
+    irsrl compare --config cfg.json --sweep variant
 """
 
 from irsrl import config as cfgmod

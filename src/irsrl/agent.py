@@ -2,11 +2,11 @@
 
 Three main networks (actor, two critics) plus Polyak-tracked targets.  The
 critics are trained independently (separate parameters and optimizers) but
-bootstrap, by default, from the shared clipped target
-r + gamma * min(Q'_1, Q'_2)(s', pi'(s')); the minimum of the two main critics
-drives the policy update.  When the Fourier critic is enabled, the
-state-action vector is mapped through one shared random Fourier kernel before
-the critic MLPs.
+both bootstrap from the shared clipped target
+r + gamma * min(Q'_1, Q'_2)(s', pi'(s')), as in TD3 but without target-policy
+smoothing; the minimum of the two main critics drives the policy update.
+When the Fourier critic is enabled, the state-action vector is mapped through
+one shared random Fourier kernel before the critic MLPs.
 
 The task is continuing (episodes are time limits only), so the bootstrap is
 never terminal-masked.
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
-from .env import IrsEnv, Transition
+from .env import IrsEnv, Transition, state_dim
 
 CRITIC_INPUTS = ("raw", "fourier")
 
@@ -30,33 +30,39 @@ class AgentConfig:
     gamma: float = 0.99
     tau: float = 0.005
     batch: int = 64
-    lr: float = 2e-4
-    actor_lr: float | None = None   # None = same as lr
+    lr: float = 2e-4                # actor and critics
     hidden: int = 400
     n_hidden_layers: int = 3
     buffer_capacity: int = 1_000_000
     expl_sigma0: float = 0.1 * np.pi
     expl_decay: float = 0.999       # per episode
     warmup_steps: int = 1000        # uniform-random action steps
-    updates_per_step: int = 1
     critic_input: str = "raw"       # "raw" | "fourier"
     sigma_b2: float = 0.01          # variance of Fourier kernel entries
     k_fourier: int = 256
     reward_scale: float = 1.0       # scales rewards seen by the critics only
-    shared_min_target: bool = True
-    smooth_sigma: float = 0.0       # target-policy smoothing noise (0 = off)
     act_reg: float = 0.0            # actor penalty weight on mean ||a||^2
-    smooth_clip: float = 0.5        # clip bound on the smoothing noise
 
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
-            raise ValueError("gamma must be in (0, 1)")
+            raise ValueError(f"gamma must be in (0, 1), got {self.gamma!r}")
         if not 0.0 < self.tau <= 1.0:
-            raise ValueError("tau must be in (0, 1]")
-        if self.batch < 1:
-            raise ValueError("batch must be >= 1")
+            raise ValueError(f"tau must be in (0, 1], got {self.tau!r}")
+        if not 0.0 < self.expl_decay <= 1.0:
+            raise ValueError(f"expl_decay must be in (0, 1], got {self.expl_decay!r}")
+        for name in ("batch", "hidden", "n_hidden_layers", "buffer_capacity",
+                     "k_fourier"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        for name in ("lr", "sigma_b2", "reward_scale"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
+        for name in ("expl_sigma0", "warmup_steps", "act_reg"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
         if self.critic_input not in CRITIC_INPUTS:
-            raise ValueError(f"unknown critic_input {self.critic_input!r}")
+            raise ValueError(f"critic_input must be one of {CRITIC_INPUTS}, "
+                             f"got {self.critic_input!r}")
 
 
 class ReplayBuffer:
@@ -156,45 +162,25 @@ def select_action(nets: AgentNets, state: np.ndarray, sigma: float,
 
 
 def critic_target(nets: AgentNets, rewards: np.ndarray, next_states: np.ndarray,
-                  gamma: float, shared_min: bool = True,
-                  smooth_sigma: float = 0.0, smooth_clip: float = 0.5,
-                  rng: np.random.Generator | None = None):
-    """Bootstrapped targets; no terminal masking (continuing task).
-
-    With shared_min (default) both critics regress toward
-    r + gamma * min(Q'_1, Q'_2); otherwise each uses its own target critic.
-    With smooth_sigma > 0 the target action is perturbed by clipped Gaussian
-    noise (target-policy smoothing), which stops the actor from exploiting
-    narrow critic overestimates at the action-box corners.
-    """
+                  gamma: float) -> np.ndarray:
+    """The shared clipped target r + gamma * min(Q'_1, Q'_2)(s', pi'(s')) that
+    both critics regress toward; no terminal masking (continuing task)."""
     a_next, _ = nets.target_actor.forward(next_states)
-    if smooth_sigma > 0.0 and rng is not None:
-        eps = np.clip(smooth_sigma * rng.standard_normal(a_next.shape),
-                      -smooth_clip, smooth_clip).astype(a_next.dtype)
-        a_next = np.clip(a_next + eps, -np.pi, np.pi)
     q1, _ = nets.critic_forward(nets.target_critic1, next_states, a_next)
     q2, _ = nets.critic_forward(nets.target_critic2, next_states, a_next)
-    if shared_min:
-        y = rewards + gamma * np.minimum(q1, q2)
-        y1 = y2 = y
-    else:
-        y1 = rewards + gamma * q1
-        y2 = rewards + gamma * q2
-    if not (np.all(np.isfinite(y1)) and np.all(np.isfinite(y2))):
+    y = rewards + gamma * np.minimum(q1, q2)
+    if not np.all(np.isfinite(y)):
         raise nn.NonFiniteError("non-finite critic target")
-    return y1, y2
+    return y
 
 
 def update_critics(nets: AgentNets, batch, opts: tuple[nn.Adam, nn.Adam],
-                   gamma: float, shared_min: bool = True,
-                   smooth_sigma: float = 0.0, smooth_clip: float = 0.5,
-                   rng: np.random.Generator | None = None) -> tuple[float, float]:
+                   gamma: float) -> tuple[float, float]:
     """One Adam step per critic on the mean squared Bellman error."""
     s, a, r, s2 = batch
-    y1, y2 = critic_target(nets, r, s2, gamma, shared_min,
-                           smooth_sigma, smooth_clip, rng)
+    y = critic_target(nets, r, s2, gamma)
     losses = []
-    for critic, opt, y in ((nets.critic1, opts[0], y1), (nets.critic2, opts[1], y2)):
+    for critic, opt in ((nets.critic1, opts[0]), (nets.critic2, opts[1])):
         q, caches = nets.critic_forward(critic, s, a)
         err = q - y
         loss = float(np.mean(err**2))
@@ -283,25 +269,19 @@ def checkpoint_tensors(nets: AgentNets) -> dict[str, np.ndarray]:
     return out
 
 
-def train(env: IrsEnv, cfg: AgentConfig, episodes: int, seed: int,
-          nan_inject_step: int | None = None) -> tuple[TrainStats, AgentNets]:
-    """Full training loop; deterministic given (env config, cfg, seed).
+def train(env: IrsEnv, cfg: AgentConfig, episodes: int,
+          streams: dict[str, np.random.Generator]) -> tuple[TrainStats, AgentNets]:
+    """Full training loop; deterministic given (env config, cfg, streams).
 
-    ``nan_inject_step`` is a test hook: the reward at that global env step is
-    replaced by NaN to exercise divergence handling.  On divergence the loop
-    stops, flags the stats, and returns the last end-of-episode networks.
+    ``streams`` is ``seed_streams(seed)`` for the seed whose "channel" and
+    "motion" streams ``env`` was built on.  On divergence the loop stops,
+    flags the stats, and returns the last end-of-episode networks.
     """
-    from .env import state_dim as _state_dim
-
-    streams = seed_streams(seed)
-    env.rng_channel = streams["channel"]
-    env.rng_motion = streams["motion"]
-    sdim = _state_dim(env.cfg)
+    sdim = state_dim(env.cfg)
     m = env.cfg.m
     nets = AgentNets.init(sdim, m, cfg, streams["init"], streams["fourier"])
     opts = (nn.Adam.for_mlp(nets.critic1, cfg.lr), nn.Adam.for_mlp(nets.critic2, cfg.lr))
-    actor_opt = nn.Adam.for_mlp(nets.actor,
-                                cfg.actor_lr if cfg.actor_lr is not None else cfg.lr)
+    actor_opt = nn.Adam.for_mlp(nets.actor, cfg.lr)
     buffer = ReplayBuffer(cfg.buffer_capacity, sdim, m)
 
     stats = TrainStats()
@@ -319,26 +299,18 @@ def train(env: IrsEnv, cfg: AgentConfig, episodes: int, seed: int,
                 action = select_action(nets, state, sigma, m,
                                        streams["exploration"], warmup=warmup)
                 next_state, reward = env.step(action)
-                if nan_inject_step is not None and global_step == nan_inject_step:
-                    reward = float("nan")
                 rewards.append(env.prev_reward_db)
                 buffer.push(Transition(state, action, cfg.reward_scale * reward,
                                        next_state))
                 state = next_state
                 global_step += 1
                 if not warmup and buffer.size >= cfg.batch:
-                    for _ in range(cfg.updates_per_step):
-                        batch = buffer.sample(cfg.batch, streams["sample"])
-                        l1, l2 = update_critics(nets, batch, opts, cfg.gamma,
-                                                cfg.shared_min_target,
-                                                cfg.smooth_sigma,
-                                                cfg.smooth_clip,
-                                                streams["sample"])
-                        aobj = update_actor(nets, batch[0], actor_opt,
-                                            cfg.act_reg)
-                        polyak_all(nets, cfg.tau)
-                        closses.append(0.5 * (l1 + l2))
-                        aobjs.append(aobj)
+                    batch = buffer.sample(cfg.batch, streams["sample"])
+                    l1, l2 = update_critics(nets, batch, opts, cfg.gamma)
+                    aobj = update_actor(nets, batch[0], actor_opt, cfg.act_reg)
+                    polyak_all(nets, cfg.tau)
+                    closses.append(0.5 * (l1 + l2))
+                    aobjs.append(aobj)
         except nn.NonFiniteError as e:
             stats.diverged = True
             stats.divergence_note = f"episode {ep}: {e}"

@@ -43,20 +43,12 @@ class ChannelParams:
     tx_power_dbm: float = 65.0      # dBm
 
     def __post_init__(self):
-        if not self.pathloss_exp > 0:
-            raise ValueError("pathloss_exp must be > 0")
-        if self.multipath_std < 0:
-            raise ValueError("multipath_std must be >= 0")
-        if self.shadow_power < 0:
-            raise ValueError("shadow_power must be >= 0")
-        if not self.corr_distance > 0:
-            raise ValueError("corr_distance must be > 0")
-        if not self.corr_time > 0:
-            raise ValueError("corr_time must be > 0")
-        if self.phase_drift < 0:
-            raise ValueError("phase_drift must be >= 0")
-        if not self.noise_var > 0:
-            raise ValueError("noise_var must be > 0")
+        for name in ("pathloss_exp", "corr_distance", "corr_time", "noise_var"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
+        for name in ("multipath_std", "shadow_power", "phase_drift"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
 
     @property
     def tx_power_linear(self) -> float:

@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Subcommands: train, compare, plot, oracle-check.
-Exit codes: 0 success, 2 config error, 3 run failure, 4 oracle failure.
+Exit codes: 0 success, 2 config error, 3 run or I/O failure (every seed
+failed, or a file could not be read, parsed or written), 4 oracle-check
+failure.
 """
 
 from __future__ import annotations
@@ -76,8 +78,8 @@ def main(argv=None) -> int:
     except cfgmod.ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except harness.RunError as e:
-        print(f"run failure: {e}", file=sys.stderr)
+    except (harness.RunError, OSError) as e:
+        print(f"error: {e}", file=sys.stderr)
         return 3
     return 0
 

@@ -10,6 +10,10 @@ the small step budget; the desk optimizer block is tuned accordingly.
 
 Any config key can be overridden by an environment variable IRSRL_<KEY>
 (value parsed as JSON, falling back to a bare string).
+
+Each key is validated once, in the ``__post_init__`` of the dataclass that
+owns it; ``resolve`` builds every component config, so a bad value is a
+``ConfigError`` before any run starts.
 """
 
 from __future__ import annotations
@@ -37,6 +41,11 @@ class ConfigError(Exception):
 
 @dataclass
 class ExperimentConfig:
+    """Every config key.  A key that shares its name with a field of
+    ``ChannelParams``, ``Geometry``, ``EnvConfig`` or ``AgentConfig`` feeds
+    that field and is validated there; only the keys below that no component
+    owns are checked here."""
+
     preset: str = "desk"
     variant: str = "ff"
     seeds: list[int] = field(default_factory=lambda: [0, 1, 2])
@@ -47,7 +56,6 @@ class ExperimentConfig:
     m: int = 8
     n: int = 3
     w: int = 5
-    reward_unit: str = "db"
     persistent_channel: bool = True
     # channel (desk default: static shadowing/phases, multipath noise only,
     # so a position-conditional optimum exists within the small step budget)
@@ -70,21 +78,26 @@ class ExperimentConfig:
     tau: float = 0.005
     batch: int = 64
     lr: float = 1e-3
-    actor_lr: float | None = None
     hidden: int = 128
     n_hidden_layers: int = 3
     buffer: int = 5000
     expl_sigma0: float = 0.1 * np.pi
     expl_decay: float = 0.9
     warmup_steps: int = 300
-    updates_per_step: int = 1
     sigma_b2: float = 0.01
     k_fourier: int = 64
     reward_scale: float = 0.05
-    shared_min_target: bool = True
-    smooth_sigma: float = 0.0
     act_reg: float = 0.05
-    smooth_clip: float = 0.5
+
+    def __post_init__(self):
+        if self.preset not in PRESETS:
+            raise ValueError(f"preset must be one of {PRESETS}, got {self.preset!r}")
+        if self.variant not in VARIANTS:
+            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        if not isinstance(self.seeds, list) or not self.seeds:
+            raise ValueError(f"seeds must be a nonempty list, got {self.seeds!r}")
+        if not self.episodes >= 1:
+            raise ValueError(f"episodes must be >= 1, got {self.episodes!r}")
 
 
 _PAPER_OVERRIDES = dict(
@@ -107,44 +120,9 @@ _PAPER_OVERRIDES = dict(
     reward_scale=1.0,
 )
 
-_CONSTRAINTS = {
-    "preset": lambda v: v in PRESETS,
-    "variant": lambda v: v in VARIANTS,
-    "seeds": lambda v: isinstance(v, list) and len(v) > 0,
-    "episodes": lambda v: v >= 1,
-    "episode_len": lambda v: v >= 1,
-    "m": lambda v: v >= 1,
-    "n": lambda v: v >= 1,
-    "w": lambda v: v >= 1,
-    "reward_unit": lambda v: v in ("db", "linear"),
-    "pathloss_exp": lambda v: v > 0,
-    "multipath_std": lambda v: v >= 0,
-    "shadow_power": lambda v: v >= 0,
-    "corr_distance": lambda v: v > 0,
-    "corr_time": lambda v: v > 0,
-    "phase_drift": lambda v: v >= 0,
-    "noise_var": lambda v: v > 0,
-    "gamma": lambda v: 0.0 < v < 1.0,
-    "tau": lambda v: 0.0 < v <= 1.0,
-    "batch": lambda v: v >= 1,
-    "lr": lambda v: v > 0,
-    "actor_lr": lambda v: v is None or v > 0,
-    "hidden": lambda v: v >= 1,
-    "n_hidden_layers": lambda v: v >= 1,
-    "buffer": lambda v: v >= 1,
-    "expl_sigma0": lambda v: v >= 0,
-    "expl_decay": lambda v: 0.0 < v <= 1.0,
-    "warmup_steps": lambda v: v >= 0,
-    "updates_per_step": lambda v: v >= 1,
-    "sigma_b2": lambda v: v > 0,
-    "k_fourier": lambda v: v >= 1,
-    "reward_scale": lambda v: v > 0,
-    "smooth_sigma": lambda v: v >= 0,
-    "act_reg": lambda v: v >= 0,
-    "smooth_clip": lambda v: v > 0,
-}
-
 _FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
+_NUMERIC = {f.name for f in dataclasses.fields(ExperimentConfig)
+            if f.type in ("int", "float")}
 
 
 def resolve(overrides: dict, use_env: bool = True) -> ExperimentConfig:
@@ -169,15 +147,15 @@ def resolve(overrides: dict, use_env: bool = True) -> ExperimentConfig:
                 except json.JSONDecodeError:
                     merged[key] = raw
 
-    cfg = ExperimentConfig(**merged)
-    for key, ok in _CONSTRAINTS.items():
-        v = getattr(cfg, key)
-        try:
-            good = ok(v)
-        except TypeError:
-            good = False
-        if not good:
-            raise ConfigError(f"invalid value for key {key!r}: {v!r}")
+    try:
+        cfg = ExperimentConfig(**merged)
+        env_config(cfg)
+        agent_config(cfg)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
+    except TypeError as e:  # a range check met a non-numeric value
+        bad = sorted(k for k in _NUMERIC if not isinstance(merged.get(k, 0), (int, float)))
+        raise ConfigError(f"{', '.join(bad) or 'a key'} must be a number: {e}") from None
     return cfg
 
 
@@ -202,69 +180,31 @@ def save_config(cfg: ExperimentConfig, path) -> None:
         f.write("\n")
 
 
-# -- adapters into module-level configs -------------------------------------
+# -- adapters into the component configs ------------------------------------
 
 
-def channel_params(cfg: ExperimentConfig) -> ChannelParams:
-    return ChannelParams(
-        pathloss_exp=cfg.pathloss_exp,
-        multipath_std=cfg.multipath_std,
-        shadow_power=cfg.shadow_power,
-        corr_distance=cfg.corr_distance,
-        corr_time=cfg.corr_time,
-        phase_drift=cfg.phase_drift,
-        noise_var=cfg.noise_var,
-        tx_power_dbm=cfg.tx_power_dbm,
-    )
-
-
-def geometry(cfg: ExperimentConfig) -> Geometry:
-    kwargs = dict(cube_side=cfg.cube_side, cell_side=cfg.cell_side)
-    if cfg.source_pos is not None:
-        kwargs["source_pos"] = np.asarray(cfg.source_pos)
-    if cfg.irs_pos is not None:
-        kwargs["irs_pos"] = np.asarray(cfg.irs_pos)
-    if cfg.dest_cells is not None:
-        kwargs["dest_cells"] = np.asarray(cfg.dest_cells)
-    return Geometry(**kwargs)
+def _from_fields(target, cfg: ExperimentConfig, **explicit):
+    """``target(...)`` from every key of ``cfg`` named like one of its fields
+    (a None key keeps the target's default); ``explicit`` values win."""
+    shared = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(target)
+              if f.name in _FIELDS and getattr(cfg, f.name) is not None}
+    return target(**{**shared, **explicit})
 
 
 def env_config(cfg: ExperimentConfig, variant: str | None = None) -> EnvConfig:
     variant = variant or cfg.variant
-    return EnvConfig(
-        m=cfg.m,
-        n=cfg.n,
-        w=cfg.w,
-        episode_len=cfg.episode_len,
+    return _from_fields(
+        EnvConfig, cfg,
         variant="snr_state" if variant == "snr-state" else "base",
-        reward_unit=cfg.reward_unit,
-        persistent_channel=cfg.persistent_channel,
-        params=channel_params(cfg),
-        geometry=geometry(cfg),
+        params=_from_fields(ChannelParams, cfg),
+        geometry=_from_fields(Geometry, cfg),
     )
 
 
 def agent_config(cfg: ExperimentConfig, variant: str | None = None) -> AgentConfig:
     variant = variant or cfg.variant
-    return AgentConfig(
-        gamma=cfg.gamma,
-        tau=cfg.tau,
-        batch=cfg.batch,
-        lr=cfg.lr,
-        actor_lr=cfg.actor_lr,
-        hidden=cfg.hidden,
-        n_hidden_layers=cfg.n_hidden_layers,
+    return _from_fields(
+        AgentConfig, cfg,
         buffer_capacity=cfg.buffer,
-        expl_sigma0=cfg.expl_sigma0,
-        expl_decay=cfg.expl_decay,
-        warmup_steps=cfg.warmup_steps,
-        updates_per_step=cfg.updates_per_step,
         critic_input="fourier" if variant == "ff" else "raw",
-        sigma_b2=cfg.sigma_b2,
-        k_fourier=cfg.k_fourier,
-        reward_scale=cfg.reward_scale,
-        shared_min_target=cfg.shared_min_target,
-        smooth_sigma=cfg.smooth_sigma,
-        act_reg=cfg.act_reg,
-        smooth_clip=cfg.smooth_clip,
     )

@@ -3,8 +3,7 @@
 State: current destination position followed by a window of W past
 (position, phase-vector) pairs, positions normalized to [0, 1] per axis.
 Action: per-element phase deltas in [-pi, pi]; the resulting phases are
-clamped (saturated, not wrapped) to [-pi, pi].  Reward: the slot SNR,
-reported in dB by default.
+clamped (saturated, not wrapped) to [-pi, pi].  Reward: the slot SNR in dB.
 
 The "snr_state" variant appends the previous slot's reward (dB, scaled by
 1/100) as a trailing state component.
@@ -29,18 +28,16 @@ class EnvConfig:
     w: int = 5                        # state window length
     episode_len: int = 300
     variant: str = "base"
-    reward_unit: str = "db"           # "db" | "linear"
     persistent_channel: bool = False  # keep channel state across resets
     params: ch.ChannelParams = field(default_factory=ch.ChannelParams)
     geometry: ch.Geometry = field(default_factory=ch.Geometry)
 
     def __post_init__(self):
-        if self.m < 1 or self.n < 1 or self.w < 1 or self.episode_len < 1:
-            raise ValueError("m, n, w, episode_len must all be >= 1")
+        for name in ("m", "n", "w", "episode_len"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
         if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if self.reward_unit not in ("db", "linear"):
-            raise ValueError(f"unknown reward_unit {self.reward_unit!r}")
+            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
 
 
 def state_dim(config: EnvConfig) -> int:
@@ -111,12 +108,11 @@ class IrsEnv:
             parts.append(np.array([self.prev_reward_db / 100.0]))
         return np.concatenate(parts)
 
-    def _reward(self, snapshot: ch.ChannelSnapshot) -> tuple[float, float]:
-        """Returns (reward in configured units, snr in dB)."""
+    def _reward_db(self, snapshot: ch.ChannelSnapshot) -> float:
         p = self.cfg.params
-        lin = sig.snr(snapshot.h, self.theta, snapshot.G, p.tx_power_linear, p.noise_var)
-        db = sig.snr_db(lin)
-        return (db if self.cfg.reward_unit == "db" else lin), db
+        return sig.snr_db(
+            sig.snr(snapshot.h, self.theta, snapshot.G, p.tx_power_linear, p.noise_var)
+        )
 
     # -- lifecycle --------------------------------------------------------
 
@@ -137,8 +133,7 @@ class IrsEnv:
             self.rng_channel,
         )
         self.last_snapshot = snap
-        _, db = self._reward(snap)
-        self.prev_reward_db = db
+        self.prev_reward_db = self._reward_db(snap)
         return self._assemble_state()
 
     def step(self, action: np.ndarray) -> tuple[np.ndarray, float]:
@@ -163,12 +158,12 @@ class IrsEnv:
         )
         self.last_snapshot = snap
         # 4) reward
-        reward, reward_db = self._reward(snap)
+        reward = self._reward_db(snap)
         # 5) destination moves
         self.cell = move_destination(cfg.geometry, self.cell, self.rng_motion)
         # 6) window shift (exact FIFO)
         self.history = [(prev_cell, self.theta.copy())] + self.history[:-1]
-        self.prev_reward_db = reward_db
+        self.prev_reward_db = reward
         # 7) assemble
         state = self._assemble_state()
         if self.t >= cfg.episode_len:

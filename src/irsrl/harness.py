@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import os
-import time
+import traceback
 from dataclasses import replace
 
 import numpy as np
@@ -26,23 +26,19 @@ def _fmt_row(seed: int, row: agent.EpisodeStats) -> str:
             f"{row.actor_objective!r},{row.sigma!r},{row.wall_s:.3f}")
 
 
-def train_one(cfg: ExperimentConfig, variant: str, seed: int,
-              nan_inject_step: int | None = None):
+def train_one(cfg: ExperimentConfig, variant: str, seed: int):
     """Train a single (seed, variant) cell; returns (TrainStats, AgentNets)."""
-    env_cfg = cfgmod.env_config(cfg, variant)
-    ag_cfg = cfgmod.agent_config(cfg, variant)
     streams = agent.seed_streams(seed)
-    env = IrsEnv(env_cfg, streams["channel"], streams["motion"])
-    return agent.train(env, ag_cfg, cfg.episodes, seed,
-                       nan_inject_step=nan_inject_step)
+    env = IrsEnv(cfgmod.env_config(cfg, variant), streams["channel"], streams["motion"])
+    return agent.train(env, cfgmod.agent_config(cfg, variant), cfg.episodes, streams)
 
 
-def run_experiment(cfg: ExperimentConfig, variant: str | None = None,
-                   nan_inject_step: int | None = None) -> dict:
+def run_experiment(cfg: ExperimentConfig, variant: str | None = None) -> dict:
     """Run every seed of one variant; writes metrics.csv, checkpoints, manifest.
 
-    Per-seed failures are recorded in the manifest; raises RunError only when
-    every seed fails.  Returns the manifest dict.
+    Per-seed failures are recorded in the manifest (status under "seeds", the
+    traceback under "tracebacks"); raises RunError only when every seed fails.
+    Returns the manifest dict.
     """
     variant = variant or cfg.variant
     out = os.path.join(cfg.out_dir, variant)
@@ -50,13 +46,14 @@ def run_experiment(cfg: ExperimentConfig, variant: str | None = None,
 
     lines = [METRICS_HEADER]
     seed_status: dict[str, str] = {}
+    tracebacks: dict[str, str] = {}
     any_ok = False
     for seed in cfg.seeds:
         try:
-            stats, nets = train_one(cfg, variant, seed,
-                                    nan_inject_step=nan_inject_step)
+            stats, nets = train_one(cfg, variant, seed)
         except Exception as e:  # noqa: BLE001 - per-seed isolation
             seed_status[str(seed)] = f"failed: {e}"
+            tracebacks[str(seed)] = traceback.format_exc()
             continue
         any_ok = True
         for row in stats.rows:
@@ -76,6 +73,7 @@ def run_experiment(cfg: ExperimentConfig, variant: str | None = None,
         "variant": variant,
         "config": cfgmod.to_dict(cfg),
         "seeds": seed_status,
+        "tracebacks": tracebacks,
         "metrics": metrics_path,
     }
     with open(os.path.join(out, "manifest.json"), "w", encoding="utf-8") as f:

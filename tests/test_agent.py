@@ -92,33 +92,23 @@ class TestCriticTarget:
             for w in critic.weights:
                 w[:] = 0.0
             critic.biases[-1][:] = 2.0
-        y1, y2 = critic_target(nets, np.array([1.0]), np.zeros((1, 6)), 0.99)
-        assert y1[0] == pytest.approx(2.98)
+        y = critic_target(nets, np.array([1.0]), np.zeros((1, 6)), 0.99)
+        assert y[0] == pytest.approx(2.98)
 
     def test_gamma_zero_limit(self):
         _, nets = make_nets()
         r = np.array([3.0, -1.0])
-        y1, _ = critic_target(nets, r, np.zeros((2, 6)), 1e-12)
-        assert np.allclose(y1, r, atol=1e-6)
+        y = critic_target(nets, r, np.zeros((2, 6)), 1e-12)
+        assert np.allclose(y, r, atol=1e-6)
 
     def test_identical_twins_reduce_to_single(self):
         _, nets = make_nets()
         nets.target_critic2 = nets.target_critic1.copy()
         s2 = np.random.default_rng(5).standard_normal((4, 6)).astype(np.float32)
-        y1, y2 = critic_target(nets, np.zeros(4), s2, 0.9)
+        y = critic_target(nets, np.zeros(4), s2, 0.9)
         a2, _ = nets.target_actor.forward(s2)
         q, _ = nets.critic_forward(nets.target_critic1, s2, a2)
-        assert np.allclose(y1, 0.9 * q)
-        assert np.array_equal(y1, y2)
-
-    def test_own_target_mode(self):
-        _, nets = make_nets()
-        s2 = np.random.default_rng(6).standard_normal((4, 6)).astype(np.float32)
-        r = np.ones(4)
-        y1, y2 = critic_target(nets, r, s2, 0.9, shared_min=False)
-        ys1, ys2 = critic_target(nets, r, s2, 0.9, shared_min=True)
-        assert np.array_equal(ys1, ys2)
-        assert np.allclose(np.minimum(y1, y2), ys1)
+        assert np.allclose(y, 0.9 * q)
 
 
 class TestUpdateCritics:
@@ -135,7 +125,7 @@ class TestUpdateCritics:
         nets.critic2 = nets.critic1.copy()
         nets.target_critic2 = nets.target_critic1.copy()
         # rewards chosen so that y equals the current Q exactly
-        y_next1, _ = critic_target(nets, np.zeros(8), s2, cfg.gamma)
+        y_next1 = critic_target(nets, np.zeros(8), s2, cfg.gamma)
         q1, _ = nets.critic_forward(nets.critic1, s, a)
         r = q1 - y_next1
         before = [w.copy() for w in nets.critic1.weights]
@@ -150,12 +140,12 @@ class TestUpdateCritics:
         rng = np.random.default_rng(8)
         s, a, r, s2 = self._batch(rng, n=1)
         opts = (nn.Adam.for_mlp(nets.critic1, 1e-2), nn.Adam.for_mlp(nets.critic2, 1e-2))
-        y1, _ = critic_target(nets, r, s2, cfg.gamma)
+        y1 = critic_target(nets, r, s2, cfg.gamma)
         q_before, _ = nets.critic_forward(nets.critic1, s, a)
         for _ in range(20):
             update_critics(nets, (s, a, r, s2), opts, cfg.gamma)
         q_after, _ = nets.critic_forward(nets.critic1, s, a)
-        y_after, _ = critic_target(nets, r, s2, cfg.gamma)
+        y_after = critic_target(nets, r, s2, cfg.gamma)
         assert abs(q_after[0] - y_after[0]) < abs(q_before[0] - y1[0])
 
     def test_fourier_critic_input_width(self):
@@ -176,25 +166,6 @@ class TestUpdateCritics:
         for _ in range(5000):
             loss, _ = update_critics(nets, batch, opts, cfg.gamma)
         assert loss < 1e-3
-
-    def test_target_smoothing(self):
-        cfg, nets = make_nets()
-        rng = np.random.default_rng(22)
-        _, _, r, s2 = self._batch(rng, n=32)
-        y_plain, _ = critic_target(nets, r, s2, cfg.gamma)
-        # sigma=0 or a missing rng leaves the target unchanged
-        y_off, _ = critic_target(nets, r, s2, cfg.gamma, smooth_sigma=0.0,
-                                 rng=np.random.default_rng(0))
-        y_norng, _ = critic_target(nets, r, s2, cfg.gamma, smooth_sigma=0.5)
-        assert np.array_equal(y_plain, y_off)
-        assert np.array_equal(y_plain, y_norng)
-        # active smoothing perturbs the target, deterministically per rng seed
-        y_a, _ = critic_target(nets, r, s2, cfg.gamma, smooth_sigma=0.5,
-                               rng=np.random.default_rng(5))
-        y_b, _ = critic_target(nets, r, s2, cfg.gamma, smooth_sigma=0.5,
-                               rng=np.random.default_rng(5))
-        assert not np.array_equal(y_plain, y_a)
-        assert np.array_equal(y_a, y_b)
 
 
 class TestUpdateActor:

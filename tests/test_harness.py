@@ -8,6 +8,7 @@ import pytest
 
 from irsrl import config as cfgmod
 from irsrl import harness, plotting
+from irsrl.env import IrsEnv
 from irsrl.config import ConfigError, load_config, resolve, save_config, to_dict
 
 
@@ -54,6 +55,36 @@ class TestConfig:
     def test_rejects_bad_gamma(self):
         with pytest.raises(ConfigError, match="gamma"):
             resolve({"gamma": 1.5}, use_env=False)
+
+    @pytest.mark.parametrize("key, value", [
+        ("preset", "huge"), ("variant", "td3"), ("seeds", []), ("episodes", 0),
+        ("episode_len", 0), ("m", 0), ("n", 0), ("w", 0),
+        ("pathloss_exp", 0.0), ("multipath_std", -0.1), ("shadow_power", -1.0),
+        ("corr_distance", 0.0), ("corr_time", 0.0), ("phase_drift", -0.1),
+        ("noise_var", 0.0), ("gamma", 1.0), ("tau", 0.0), ("batch", 0),
+        ("lr", 0.0), ("hidden", 0), ("n_hidden_layers", 0), ("buffer", 0),
+        ("expl_sigma0", -0.1), ("expl_decay", 0.0), ("warmup_steps", -1),
+        ("sigma_b2", 0.0), ("k_fourier", 0), ("reward_scale", 0.0),
+        ("act_reg", -0.1),
+    ])
+    def test_rejects_out_of_range(self, key, value):
+        # the key must appear as a word of its own or as the stem of the
+        # component field it feeds (buffer -> buffer_capacity)
+        with pytest.raises(ConfigError, match=rf"(?<![a-z_]){key}(?![a-z])"):
+            resolve({key: value}, use_env=False)
+
+    def test_rejects_non_numeric(self, tmp_path, monkeypatch):
+        p = tmp_path / "cfg.json"
+        p.write_text("{}")
+        monkeypatch.setenv("IRSRL_LR", "fast")
+        with pytest.raises(ConfigError, match="lr"):
+            load_config(p)
+
+    @pytest.mark.parametrize("key", ["source_pos", "irs_pos", "dest_cells"])
+    def test_rejects_geometry_outside_cube(self, key):
+        value = [[14.5, 14.5, 25.0]] if key == "dest_cells" else [1.0, 25.0, 2.0]
+        with pytest.raises(ConfigError, match=key):
+            resolve({key: value}, use_env=False)
 
     def test_rejects_unknown_key(self):
         with pytest.raises(ConfigError, match="not_a_key"):
@@ -121,13 +152,44 @@ class TestRunExperiment:
             blobs.append((tmp_path / sub / "ff" / "seed0.ckpt").read_bytes())
         assert blobs[0] == blobs[1]
 
-    def test_nan_injection_flags_divergence(self, tmp_path):
+    def test_nan_injection_flags_divergence(self, tmp_path, monkeypatch):
+        # every seed's env returns a NaN reward at its 26th step
+        real_step = IrsEnv.step
+
+        def nan_step(env, action):
+            state, reward = real_step(env, action)
+            env.steps_taken = getattr(env, "steps_taken", 0) + 1
+            return state, float("nan") if env.steps_taken == 26 else reward
+
+        monkeypatch.setattr(IrsEnv, "step", nan_step)
         cfg = resolve({**TINY, "out_dir": str(tmp_path)}, use_env=False)
-        manifest = harness.run_experiment(cfg, "base", nan_inject_step=25)
+        manifest = harness.run_experiment(cfg, "base")
         # both seeds hit the injected NaN but the run completes
         assert all(v.startswith("diverged") for v in manifest["seeds"].values())
         rows = plotting.read_metrics(tmp_path / "base" / "metrics.csv")
         assert any(np.isnan(r["mean_snr_db"]) for r in rows)
+
+    def test_failed_seed_keeps_traceback(self, tmp_path, monkeypatch):
+        real_train_one = harness.train_one
+
+        def train_one(cfg, variant, seed):
+            if seed == 1:
+                raise RuntimeError("seed 1 exploded")
+            return real_train_one(cfg, variant, seed)
+
+        monkeypatch.setattr(harness, "train_one", train_one)
+        cfg = resolve({**TINY, "out_dir": str(tmp_path)}, use_env=False)
+        manifest = harness.run_experiment(cfg, "base")
+        assert manifest["seeds"]["0"] == "ok"
+        assert manifest["seeds"]["1"].startswith("failed")
+        assert list(manifest["tracebacks"]) == ["1"]
+        tb = manifest["tracebacks"]["1"]
+        assert tb.startswith("Traceback") and "RuntimeError: seed 1 exploded" in tb
+        saved = json.loads((tmp_path / "base" / "manifest.json").read_text())
+        assert saved["tracebacks"] == manifest["tracebacks"]
+        rows = plotting.read_metrics(tmp_path / "base" / "metrics.csv")
+        assert {int(r["seed"]) for r in rows} == {0}
+        assert len(rows) == TINY["episodes"]
 
 
 class TestFinalPerformance:
@@ -228,6 +290,22 @@ class TestCli:
         r = self._run("plot", "--in", str(csv_path), "--out", str(svg))
         assert r.returncode == 0
         ET.parse(svg)
+
+    def test_unwritable_out_exit_code(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({**TINY, "seeds": [0]}))
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        r = self._run("train", "--config", str(p), "--out", str(blocker / "out"))
+        assert r.returncode == 3
+        assert r.stderr.startswith("error:")
+        assert len(r.stderr.strip().splitlines()) == 1
+
+    def test_plot_missing_input_exit_code(self, tmp_path):
+        r = self._run("plot", "--in", str(tmp_path / "missing.csv"),
+                      "--out", str(tmp_path / "out.svg"))
+        assert r.returncode == 3
+        assert r.stderr.startswith("error:")
 
     def test_oracle_check_cli(self, tmp_path):
         p = tmp_path / "cfg.json"
