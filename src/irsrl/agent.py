@@ -23,6 +23,9 @@ from . import nn
 from .env import IrsEnv, Transition, state_dim
 
 CRITIC_INPUTS = ("raw", "fourier")
+# AgentNets' networks in field order, which is also checkpoint order
+MLP_NAMES = ("actor", "critic1", "critic2", "target_actor", "target_critic1",
+             "target_critic2")
 
 
 @dataclass
@@ -121,29 +124,31 @@ class AgentNets:
             critic_in = fourier.out_dim
         c1 = nn.MLP.init([critic_in] + hid + [1], rng)
         c2 = nn.MLP.init([critic_in] + hid + [1], rng)
-        return cls(actor=actor, critic1=c1, critic2=c2,
-                   target_actor=actor.copy(), target_critic1=c1.copy(),
-                   target_critic2=c2.copy(), fourier=fourier)
+        return cls(actor, c1, c2, actor.copy(), c1.copy(), c2.copy(), fourier)
 
     def copy(self) -> "AgentNets":
-        return AgentNets(self.actor.copy(), self.critic1.copy(), self.critic2.copy(),
-                         self.target_actor.copy(), self.target_critic1.copy(),
-                         self.target_critic2.copy(), self.fourier)
+        return AgentNets(*(getattr(self, n).copy() for n in MLP_NAMES), self.fourier)
+
+    def critics_forward(self, critics, s: np.ndarray, a: np.ndarray):
+        """[(Q(s, a), caches)] for each critic, over one shared (s, a) input and
+        its Fourier features; the caches allow backprop to the action slice."""
+        x, fcache = np.concatenate([s, a], axis=-1), None
+        if self.fourier is not None:
+            x, fcache = self.fourier.features(x)
+        outs = [critic.forward(x) for critic in critics]
+        return [(q[..., 0], (cache, fcache)) for q, cache in outs]
 
     def critic_forward(self, critic: nn.MLP, s: np.ndarray, a: np.ndarray):
         """Q(s, a) with caches for backprop down to the action slice."""
-        x = np.concatenate([s, a], axis=-1)
-        fcache = None
-        if self.fourier is not None:
-            x, fcache = self.fourier.features(x)
-        q, cache = critic.forward(x)
-        return q[..., 0], (cache, fcache)
+        return self.critics_forward((critic,), s, a)[0]
 
-    def critic_backward(self, critic: nn.MLP, caches, q_grad: np.ndarray):
-        """Returns (param grads, gradient wrt the raw (s, a) input)."""
+    def critic_backward(self, critic: nn.MLP, caches, q_grad: np.ndarray,
+                        params: bool = True, inputs: bool = True):
+        """(param grads, gradient wrt the raw (s, a) input); see MLP.backward."""
         cache, fcache = caches
-        grads, gin = critic.backward(cache, q_grad[..., None])
-        if self.fourier is not None:
+        grads, gin = critic.backward(cache, q_grad[..., None], params=params,
+                                     inputs=inputs)
+        if inputs and self.fourier is not None:
             gin = self.fourier.backward(fcache, gin)
         return grads, gin
 
@@ -166,8 +171,8 @@ def critic_target(nets: AgentNets, rewards: np.ndarray, next_states: np.ndarray,
     """The shared clipped target r + gamma * min(Q'_1, Q'_2)(s', pi'(s')) that
     both critics regress toward; no terminal masking (continuing task)."""
     a_next, _ = nets.target_actor.forward(next_states)
-    q1, _ = nets.critic_forward(nets.target_critic1, next_states, a_next)
-    q2, _ = nets.critic_forward(nets.target_critic2, next_states, a_next)
+    (q1, _), (q2, _) = nets.critics_forward(
+        (nets.target_critic1, nets.target_critic2), next_states, a_next)
     y = rewards + gamma * np.minimum(q1, q2)
     if not np.all(np.isfinite(y)):
         raise nn.NonFiniteError("non-finite critic target")
@@ -179,14 +184,15 @@ def update_critics(nets: AgentNets, batch, opts: tuple[nn.Adam, nn.Adam],
     """One Adam step per critic on the mean squared Bellman error."""
     s, a, r, s2 = batch
     y = critic_target(nets, r, s2, gamma)
+    critics = (nets.critic1, nets.critic2)
     losses = []
-    for critic, opt in ((nets.critic1, opts[0]), (nets.critic2, opts[1])):
-        q, caches = nets.critic_forward(critic, s, a)
+    for critic, opt, (q, caches) in zip(critics, opts, nets.critics_forward(critics, s, a)):
         err = q - y
         loss = float(np.mean(err**2))
         if not np.isfinite(loss):
             raise nn.NonFiniteError("non-finite critic loss")
-        grads, _ = nets.critic_backward(critic, caches, 2.0 * err / err.shape[0])
+        grads, _ = nets.critic_backward(critic, caches, 2.0 * err / err.shape[0],
+                                        inputs=False)
         opt.step(critic, grads)
         losses.append(loss)
     return losses[0], losses[1]
@@ -201,15 +207,14 @@ def update_actor(nets: AgentNets, states: np.ndarray, opt: nn.Adam,
     descent on the negated objective.
     """
     a, acache = nets.actor.forward(states)
-    q1, c1 = nets.critic_forward(nets.critic1, states, a)
-    q2, c2 = nets.critic_forward(nets.critic2, states, a)
+    (q1, c1), (q2, c2) = nets.critics_forward((nets.critic1, nets.critic2), states, a)
     objective = float(np.mean(np.minimum(q1, q2)))
     if not np.isfinite(objective):
         raise nn.NonFiniteError("non-finite actor objective")
     b = states.shape[0]
     pick1 = (q1 <= q2).astype(np.float32)
-    _, gin1 = nets.critic_backward(nets.critic1, c1, pick1 / b)
-    _, gin2 = nets.critic_backward(nets.critic2, c2, (1.0 - pick1) / b)
+    _, gin1 = nets.critic_backward(nets.critic1, c1, pick1 / b, params=False)
+    _, gin2 = nets.critic_backward(nets.critic2, c2, (1.0 - pick1) / b, params=False)
     d = states.shape[1]
     grad_a = gin1[:, d:] + gin2[:, d:]
     if act_reg > 0.0:
@@ -217,7 +222,7 @@ def update_actor(nets: AgentNets, states: np.ndarray, opt: nn.Adam,
         # it is zero at the fixed point a = 0 of a converged tracking policy
         grad_a = grad_a - (2.0 * act_reg / states.shape[0]) * a
         objective -= act_reg * float(np.mean(np.sum(a * a, axis=1)))
-    agrads, _ = nets.actor.backward(acache, -grad_a)  # negate: ascent
+    agrads, _ = nets.actor.backward(acache, -grad_a, inputs=False)  # negate: ascent
     opt.step(nets.actor, agrads)
     return objective
 
@@ -258,12 +263,8 @@ def seed_streams(seed: int) -> dict[str, np.random.Generator]:
 
 def checkpoint_tensors(nets: AgentNets) -> dict[str, np.ndarray]:
     out = {}
-    out.update(nn.mlp_tensors("actor", nets.actor))
-    out.update(nn.mlp_tensors("critic1", nets.critic1))
-    out.update(nn.mlp_tensors("critic2", nets.critic2))
-    out.update(nn.mlp_tensors("target_actor", nets.target_actor))
-    out.update(nn.mlp_tensors("target_critic1", nets.target_critic1))
-    out.update(nn.mlp_tensors("target_critic2", nets.target_critic2))
+    for name in MLP_NAMES:
+        out.update(nn.mlp_tensors(name, getattr(nets, name)))
     if nets.fourier is not None:
         out["fourier.B"] = nets.fourier.B
     return out

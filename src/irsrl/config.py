@@ -20,7 +20,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 import os
+import types
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,8 +46,9 @@ class ConfigError(Exception):
 class ExperimentConfig:
     """Every config key.  A key that shares its name with a field of
     ``ChannelParams``, ``Geometry``, ``EnvConfig`` or ``AgentConfig`` feeds
-    that field and is validated there; only the keys below that no component
-    owns are checked here."""
+    that field and its range is checked there.  Here every key's type is
+    checked against its annotation, and the range of the keys that no
+    component owns."""
 
     preset: str = "desk"
     variant: str = "ff"
@@ -90,14 +94,32 @@ class ExperimentConfig:
     act_reg: float = 0.05
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not _conforms(value, _HINTS[f.name]):
+                raise TypeError(f"{f.name} must be {f.type}, got {value!r}")
         if self.preset not in PRESETS:
             raise ValueError(f"preset must be one of {PRESETS}, got {self.preset!r}")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if not isinstance(self.seeds, list) or not self.seeds:
+        if not self.seeds:
             raise ValueError(f"seeds must be a nonempty list, got {self.seeds!r}")
         if not self.episodes >= 1:
             raise ValueError(f"episodes must be >= 1, got {self.episodes!r}")
+
+
+def _conforms(value, tp) -> bool:
+    """isinstance for the annotations used above; an int is a valid float,
+    and a bool is not a number."""
+    if typing.get_origin(tp) in (typing.Union, types.UnionType):
+        return any(_conforms(value, arg) for arg in typing.get_args(tp))
+    if typing.get_origin(tp) is list:
+        (item,) = typing.get_args(tp)
+        return isinstance(value, list) and all(_conforms(v, item) for v in value)
+    if tp in (int, float):
+        kind = numbers.Integral if tp is int else numbers.Real
+        return isinstance(value, kind) and not isinstance(value, bool)
+    return isinstance(value, tp)
 
 
 _PAPER_OVERRIDES = dict(
@@ -120,16 +142,15 @@ _PAPER_OVERRIDES = dict(
     reward_scale=1.0,
 )
 
-_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
-_NUMERIC = {f.name for f in dataclasses.fields(ExperimentConfig)
-            if f.type in ("int", "float")}
+_FIELDS = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
+_HINTS = typing.get_type_hints(ExperimentConfig)
 
 
 def resolve(overrides: dict, use_env: bool = True) -> ExperimentConfig:
     """Preset defaults -> file overrides -> IRSRL_* environment overrides."""
     if not isinstance(overrides, dict):
         raise ConfigError("config root must be a JSON object")
-    unknown = set(overrides) - _FIELDS
+    unknown = set(overrides) - _FIELDS.keys()
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
 
@@ -143,19 +164,19 @@ def resolve(overrides: dict, use_env: bool = True) -> ExperimentConfig:
             raw = os.environ.get(ENV_PREFIX + key.upper())
             if raw is not None:
                 try:
-                    merged[key] = json.loads(raw)
+                    value = json.loads(raw)
                 except json.JSONDecodeError:
-                    merged[key] = raw
+                    value = raw
+                if _FIELDS[key] == "str" and not isinstance(value, str):
+                    value = raw  # a string key keeps "123" as text
+                merged[key] = value
 
     try:
         cfg = ExperimentConfig(**merged)
         env_config(cfg)
         agent_config(cfg)
-    except ValueError as e:
+    except (ValueError, TypeError) as e:
         raise ConfigError(str(e)) from None
-    except TypeError as e:  # a range check met a non-numeric value
-        bad = sorted(k for k in _NUMERIC if not isinstance(merged.get(k, 0), (int, float)))
-        raise ConfigError(f"{', '.join(bad) or 'a key'} must be a number: {e}") from None
     return cfg
 
 

@@ -2,9 +2,11 @@
 averaging, random Fourier features, and a binary checkpoint format.
 
 Training arithmetic is float32 by default; pass dtype=np.float64 when running
-finite-difference gradient checks.  Reverse-mode gradients are exact, and
-``backward`` also returns the gradient with respect to the network input
-(needed to push the policy gradient through the critic's action slice).
+finite-difference gradient checks.  An MLP's weights and biases are views of
+one flat ``params`` array, so Adam and Polyak run over flat arrays.
+Reverse-mode gradients are exact; ``backward`` returns the parameter gradients
+and the gradient with respect to the network input (needed to push the policy
+gradient through the critic's action slice), and can skip either one.
 """
 
 from __future__ import annotations
@@ -35,12 +37,18 @@ class MLP:
     """Dense network with ReLU hidden layers and a configurable head.
 
     head "linear" is the critic, head "tanh_pi" the actor output pi * tanh(z),
-    which keeps every component strictly inside (-pi, pi).
+    which keeps every component strictly inside (-pi, pi).  Construction
+    copies the tensors into ``params`` (w0, b0, w1, b1, ...) and keeps views.
     """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     head: str = "linear"
+    params: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.params = _flatten(self.weights, self.biases)
+        self.weights, self.biases = self.views(self.params)
 
     @classmethod
     def init(
@@ -74,9 +82,16 @@ class MLP:
     def sizes(self) -> list[int]:
         return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
 
+    def views(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """(weights, biases) shaped views of a flat array laid out like ``params``."""
+        out, off = [], 0
+        for t in (t for wb in zip(self.weights, self.biases) for t in wb):
+            out.append(flat[off:off + t.size].reshape(t.shape))
+            off += t.size
+        return out[0::2], out[1::2]
+
     def copy(self) -> "MLP":
-        return MLP([w.copy() for w in self.weights],
-                   [b.copy() for b in self.biases], self.head)
+        return MLP(self.weights, self.biases, self.head)
 
     def astype(self, dtype) -> "MLP":
         return MLP([w.astype(dtype) for w in self.weights],
@@ -106,11 +121,13 @@ class MLP:
         cache = (acts, z_last, single)
         return (out[0] if single else out), cache
 
-    def backward(self, cache, output_grad: np.ndarray):
+    def backward(self, cache, output_grad: np.ndarray, params: bool = True,
+                 inputs: bool = True):
         """Exact reverse-mode gradients.
 
-        Returns ((weight_grads, bias_grads), input_grad) for the batch that
-        produced ``cache``; output_grad carries any loss scaling (e.g. 1/B).
+        Returns (Grads, input_grad) for the batch that produced ``cache``;
+        output_grad carries any loss scaling (e.g. 1/B).  ``params=False`` or
+        ``inputs=False`` skips that part and returns None in its place.
         """
         acts, z_last, single = cache
         g = np.asarray(output_grad)
@@ -119,18 +136,38 @@ class MLP:
         if self.head == "tanh_pi":
             th = np.tanh(z_last)
             g = g * np.pi * (1.0 - th * th)
-        wgrads = [None] * len(self.weights)
-        bgrads = [None] * len(self.weights)
+        grads = Grads(np.empty_like(self.params), self) if params else None
         for i in range(len(self.weights) - 1, -1, -1):
-            a_prev = acts[i]
-            wgrads[i] = a_prev.T @ g
-            bgrads[i] = np.sum(g, axis=0)
+            if params:
+                np.matmul(acts[i].T, g, out=grads[0][i])
+                np.sum(g, axis=0, out=grads[1][i])
+            if i == 0 and not inputs:
+                return grads, None
             g = g @ self.weights[i].T
             if i > 0:
                 # ReLU subgradient: 0 at exactly 0.
                 g = g * (acts[i] > 0.0)
-        input_grad = g[0] if single else g
-        return (wgrads, bgrads), input_grad
+        return grads, (g[0] if single else g)
+
+
+def _flatten(weights, biases) -> np.ndarray:
+    """A flat copy of (w0, b0, w1, b1, ...) that starts on a 64-byte boundary:
+    BLAS reads a weight matrix that starts on a cache line measurably faster."""
+    ts = [t.ravel() for wb in zip(weights, biases) for t in wb]
+    dtype = np.result_type(*ts)
+    nbytes = sum(t.size for t in ts) * dtype.itemsize
+    buf = np.empty(nbytes + 64, np.uint8)
+    off = -buf.ctypes.data % 64
+    return np.concatenate(ts, out=buf[off:off + nbytes].view(dtype))
+
+
+class Grads(tuple):
+    """(weight_grads, bias_grads): views of ``flat``, laid out like ``params``."""
+
+    def __new__(cls, flat: np.ndarray, mlp: MLP):
+        self = super().__new__(cls, mlp.views(flat))
+        self.flat = flat
+        return self
 
 
 # ---------------------------------------------------------------------------
@@ -138,15 +175,18 @@ class MLP:
 # ---------------------------------------------------------------------------
 
 
+# Adam runs its dozen elementwise passes block by block, so that each block
+# stays in cache and the two temporaries stay small (no per-step page faults).
+ADAM_BLOCK = 65536
+
+
 @dataclass
 class Adam:
-    """Bias-corrected Adam over an MLP's parameter list."""
+    """Bias-corrected Adam over an MLP's flat parameter array."""
 
     lr: float
-    m_w: list[np.ndarray]
-    v_w: list[np.ndarray]
-    m_b: list[np.ndarray]
-    v_b: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
@@ -154,46 +194,44 @@ class Adam:
 
     @classmethod
     def for_mlp(cls, mlp: MLP, lr: float) -> "Adam":
-        return cls(
-            lr=lr,
-            m_w=[np.zeros_like(w) for w in mlp.weights],
-            v_w=[np.zeros_like(w) for w in mlp.weights],
-            m_b=[np.zeros_like(b) for b in mlp.biases],
-            v_b=[np.zeros_like(b) for b in mlp.biases],
-        )
+        return cls(lr=lr, m=np.zeros_like(mlp.params), v=np.zeros_like(mlp.params))
 
     def step(self, mlp: MLP, grads) -> None:
-        """One in-place descent step; raises NonFiniteError on bad gradients."""
-        wgrads, bgrads = grads
-        for g in wgrads + bgrads:
-            if not np.all(np.isfinite(g)):
-                raise NonFiniteError("non-finite gradient in Adam step")
+        """One in-place descent step; raises NonFiniteError on bad gradients.
+        The in-place ufuncs keep the float order of the per-tensor formula
+        params -= lr * (m / c1) / (sqrt(v / c2) + eps), so results are exact."""
+        g = grads.flat if isinstance(grads, Grads) else _flatten(*grads)
+        if not np.isfinite(g).all():
+            raise NonFiniteError("non-finite gradient in Adam step")
         self.t += 1
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
-        for params, gs, ms, vs in (
-            (mlp.weights, wgrads, self.m_w, self.v_w),
-            (mlp.biases, bgrads, self.m_b, self.v_b),
-        ):
-            for i, g in enumerate(gs):
-                ms[i] = self.beta1 * ms[i] + (1.0 - self.beta1) * g
-                vs[i] = self.beta2 * vs[i] + (1.0 - self.beta2) * g * g
-                mhat = ms[i] / c1
-                vhat = vs[i] / c2
-                params[i] -= (self.lr * mhat / (np.sqrt(vhat) + self.eps)).astype(
-                    params[i].dtype
-                )
+        tmp, denom = np.empty((2, min(ADAM_BLOCK, g.size)), self.m.dtype)
+        for lo in range(0, g.size, ADAM_BLOCK):
+            blk = slice(lo, lo + ADAM_BLOCK)
+            m, v, gb, p = self.m[blk], self.v[blk], g[blk], mlp.params[blk]
+            t, d = tmp[:gb.size], denom[:gb.size]
+            np.multiply(gb, 1.0 - self.beta1, out=t)
+            m *= self.beta1
+            m += t
+            np.multiply(gb, 1.0 - self.beta2, out=t)
+            t *= gb
+            v *= self.beta2
+            v += t
+            np.sqrt(np.divide(v, c2, out=d), out=d)
+            d += self.eps
+            np.multiply(np.divide(m, c1, out=t), self.lr, out=t)
+            p -= np.divide(t, d, out=t)
 
 
 def polyak_update(target: MLP, main: MLP, tau: float) -> None:
     """In-place target <- tau * main + (1 - tau) * target, every tensor."""
     if not 0.0 <= tau <= 1.0:
         raise ValueError("tau must be in [0, 1]")
-    for pt, pm in zip(target.weights + target.biases, main.weights + main.biases):
-        if pt.shape != pm.shape:
-            raise ValueError("shape mismatch between target and main parameters")
-        pt *= 1.0 - tau
-        pt += tau * pm
+    if target.sizes != main.sizes:
+        raise ValueError("shape mismatch between target and main parameters")
+    target.params *= 1.0 - tau
+    target.params += tau * main.params
 
 
 # ---------------------------------------------------------------------------

@@ -180,7 +180,7 @@ class TestUpdateActor:
                 a = x[:, sdim:]
                 return -np.sum(a**2, axis=1, keepdims=True), ("quad", x)
 
-            def backward(self, cache, gout):
+            def backward(self, cache, gout, **_):
                 _, x = cache
                 gin = np.zeros_like(x)
                 gin[:, sdim:] = -2.0 * x[:, sdim:] * gout

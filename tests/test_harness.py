@@ -80,6 +80,22 @@ class TestConfig:
         with pytest.raises(ConfigError, match="lr"):
             load_config(p)
 
+    @pytest.mark.parametrize("key, value", [
+        ("persistent_channel", "no"), ("m", 2.5), ("seeds", ["a", 1.5]),
+        ("episodes", 2.5), ("hidden", 64.0),
+    ])
+    def test_rejects_wrong_type(self, key, value):
+        with pytest.raises(ConfigError, match=rf"^{key} must be "):
+            resolve({key: value}, use_env=False)
+
+    def test_accepts_int_for_float_and_env_json(self, monkeypatch):
+        for key, raw in (("M", "4"), ("LR", "1"), ("PERSISTENT_CHANNEL", "false"),
+                         ("SEEDS", "[3, 4]"), ("OUT_DIR", "123")):
+            monkeypatch.setenv("IRSRL_" + key, raw)
+        cfg = resolve({"tx_power_dbm": 60, "source_pos": [1, 2, 3]})
+        assert (cfg.m, cfg.lr, cfg.persistent_channel) == (4, 1, False)
+        assert (cfg.seeds, cfg.out_dir, cfg.tx_power_dbm) == ([3, 4], "123", 60)
+
     @pytest.mark.parametrize("key", ["source_pos", "irs_pos", "dest_cells"])
     def test_rejects_geometry_outside_cube(self, key):
         value = [[14.5, 14.5, 25.0]] if key == "dest_cells" else [1.0, 25.0, 2.0]
@@ -278,6 +294,13 @@ class TestCli:
         r = self._run("train", "--config", str(p))
         assert r.returncode == 2
         assert "gamma" in r.stderr
+
+    def test_wrong_type_exit_code(self, tmp_path):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"persistent_channel": "no"}))
+        r = self._run("train", "--config", str(p))
+        assert r.returncode == 2
+        assert "persistent_channel" in r.stderr
 
     def test_train_and_plot(self, tmp_path):
         p = tmp_path / "cfg.json"

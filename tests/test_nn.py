@@ -145,6 +145,20 @@ class TestBackward:
         x = rng.standard_normal((4, 5))
         check_mlp_grads(mlp, x, rng)
 
+    @pytest.mark.parametrize("head", ["linear", "tanh_pi"])
+    def test_partial_backward_matches_full(self, head):
+        rng = np.random.default_rng(12)
+        mlp = nn.MLP.init([5, 8, 8, 3], rng, head=head)
+        _, cache = mlp.forward(rng.standard_normal((4, 5)).astype(np.float32))
+        r = rng.standard_normal((4, 3)).astype(np.float32)
+        (wg, bg), xg = mlp.backward(cache, r)
+        no_params, xg_only = mlp.backward(cache, r, params=False)
+        (wg_only, bg_only), no_input = mlp.backward(cache, r, inputs=False)
+        assert no_params is None and no_input is None
+        assert np.array_equal(xg_only, xg)
+        for a, b in zip(wg_only + bg_only, wg + bg):
+            assert np.array_equal(a, b)
+
 
 class TestFourier:
     def test_zero_kernel(self):
@@ -221,6 +235,32 @@ class TestAdam:
         with pytest.raises(nn.NonFiniteError):
             opt.step(mlp, ([np.full((2, 1), np.nan)], [np.zeros(1)]))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("block", [nn.ADAM_BLOCK, 7])
+    def test_matches_per_tensor_reference(self, dtype, block, monkeypatch):
+        # the textbook per-tensor update, float for float, in one block or many
+        monkeypatch.setattr(nn, "ADAM_BLOCK", block)
+        rng = np.random.default_rng(13)
+        mlp = nn.MLP.init([4, 6, 3], rng, dtype=dtype)
+        ref = [t.copy() for t in mlp.weights + mlp.biases]
+        ms = [np.zeros_like(t) for t in ref]
+        vs = [np.zeros_like(t) for t in ref]
+        lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
+        opt = nn.Adam.for_mlp(mlp, lr)
+        x = rng.standard_normal((5, 4)).astype(dtype)
+        for t in range(1, 6):
+            _, cache = mlp.forward(x)
+            grads, _ = mlp.backward(cache, rng.standard_normal((5, 3)).astype(dtype))
+            opt.step(mlp, grads)
+            c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+            for i, g in enumerate(grads[0] + grads[1]):
+                ms[i] = b1 * ms[i] + (1.0 - b1) * g
+                vs[i] = b2 * vs[i] + (1.0 - b2) * g * g
+                ref[i] -= lr * (ms[i] / c1) / (np.sqrt(vs[i] / c2) + eps)
+            for a, b in zip(mlp.weights + mlp.biases, ref):
+                assert a.dtype == dtype
+                assert np.array_equal(a, b)
+
 
 class TestPolyak:
     def _pair(self):
@@ -256,6 +296,42 @@ class TestPolyak:
         d1 = sum(np.sum((a - b) ** 2)
                  for a, b in zip(target.weights, main.weights))
         assert d1 < d0
+
+
+class TestFlatParams:
+    @staticmethod
+    def assert_views(mlp):
+        for t in mlp.weights + mlp.biases:
+            assert np.shares_memory(t, mlp.params)
+        assert mlp.params.ctypes.data % 64 == 0
+
+    def test_tensors_stay_views(self):
+        rng = np.random.default_rng(14)
+        mlp = nn.MLP.init([3, 5, 2], rng)
+        self.assert_views(mlp)
+        opt = nn.Adam.for_mlp(mlp, 1e-2)
+        _, cache = mlp.forward(rng.standard_normal((4, 3)).astype(np.float32))
+        grads, _ = mlp.backward(cache, np.ones((4, 2), np.float32))
+        opt.step(mlp, grads)
+        self.assert_views(mlp)
+        target = mlp.copy()
+        self.assert_views(target)
+        assert not np.shares_memory(target.params, mlp.params)
+        nn.polyak_update(target, mlp, 0.5)
+        self.assert_views(target)
+        wide = mlp.astype(np.float64)
+        assert wide.params.dtype == np.float64
+        self.assert_views(wide)
+        back = nn.mlp_from_tensors("m", nn.mlp_tensors("m", wide), "linear")
+        self.assert_views(back)
+
+    def test_updates_reach_the_tensors(self):
+        main = nn.MLP.init([3, 4, 2], np.random.default_rng(15))
+        target = main.copy()
+        main.params += 1.0
+        nn.polyak_update(target, main, 1.0)
+        for a, b in zip(target.weights + target.biases, main.weights + main.biases):
+            assert np.array_equal(a, b)
 
 
 class TestCheckpoint:
