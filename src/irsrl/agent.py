@@ -8,14 +8,26 @@ smoothing; the minimum of the two main critics drives the policy update.
 When the Fourier critic is enabled, the state-action vector is mapped through
 one shared random Fourier kernel before the critic MLPs.
 
+The twin critics meet only at the two minima, so each learner step splits
+into one half per critic: critic1's half runs on the calling thread and
+critic2's on one worker thread, started on first use, and the two join where
+the math needs both (``_twin``).  The halves run the same array operations as
+one thread would, so results are byte-identical either way.  Critics smaller
+than ``TWIN_MIN_PARAMS`` parameters, and processes allowed on one CPU only,
+run both halves on the calling thread, where the hand-off would cost more
+than the second core saves.
+
 The task is continuing (episodes are time limits only), so the bootstrap is
 never terminal-masked.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -23,6 +35,9 @@ from . import nn
 from .env import IrsEnv, Transition, state_dim
 
 CRITIC_INPUTS = ("raw", "fourier")
+# Critics with fewer parameters update both halves on the calling thread: the
+# desk critic (42k) gains nothing from the worker, the paper critic (526k) does.
+TWIN_MIN_PARAMS = 1 << 17
 # AgentNets' networks in field order, which is also checkpoint order
 MLP_NAMES = ("actor", "critic1", "critic2", "target_actor", "target_critic1",
              "target_critic2")
@@ -129,18 +144,17 @@ class AgentNets:
     def copy(self) -> "AgentNets":
         return AgentNets(*(getattr(self, n).copy() for n in MLP_NAMES), self.fourier)
 
-    def critics_forward(self, critics, s: np.ndarray, a: np.ndarray):
-        """[(Q(s, a), caches)] for each critic, over one shared (s, a) input and
-        its Fourier features; the caches allow backprop to the action slice."""
-        x, fcache = np.concatenate([s, a], axis=-1), None
-        if self.fourier is not None:
-            x, fcache = self.fourier.features(x)
-        outs = [critic.forward(x) for critic in critics]
-        return [(q[..., 0], (cache, fcache)) for q, cache in outs]
+    def critic_input(self, s: np.ndarray, a: np.ndarray):
+        """(x, fcache): the critics' input for (s, a), which both critics
+        share, and the Fourier cache (None for raw critics)."""
+        x = np.concatenate([s, a], axis=-1)
+        if self.fourier is None:
+            return x, None
+        return self.fourier.features(x)
 
     def critic_forward(self, critic: nn.MLP, s: np.ndarray, a: np.ndarray):
         """Q(s, a) with caches for backprop down to the action slice."""
-        return self.critics_forward((critic,), s, a)[0]
+        return _critic_q(critic, *self.critic_input(s, a))
 
     def critic_backward(self, critic: nn.MLP, caches, q_grad: np.ndarray,
                         params: bool = True, inputs: bool = True):
@@ -151,6 +165,66 @@ class AgentNets:
         if inputs and self.fourier is not None:
             gin = self.fourier.backward(fcache, gin)
         return grads, gin
+
+
+def _critic_q(critic: nn.MLP, x: np.ndarray, fcache):
+    """Q over a prepared critic input, with caches for critic_backward."""
+    q, cache = critic.forward(x)
+    return q[..., 0], (cache, fcache)
+
+
+_pool = None                 # the twin-critic worker, started on first use
+_pool_lock = threading.Lock()
+
+
+def _forget_worker() -> None:
+    """A forked child has no worker thread: start a fresh one on demand."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _worker():
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            # imported here: the import alone costs ~10 ms of every start-up
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = ThreadPoolExecutor(1, thread_name_prefix="irsrl-twin-critic")
+        return _pool
+
+
+def _cpus() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _twin(f, args1, args2):
+    """(f(*args1), f(*args2)): one half of a twin-critic step per critic,
+    where args1[0] and args2[0] are the critics (or their targets).
+
+    The second half runs on the worker thread while this thread runs the
+    first, if the critics have ``params`` of at least TWIN_MIN_PARAMS
+    elements and the process may use more than one CPU; otherwise the halves
+    run here, in order.  An exception from either half is raised only after
+    both halves have finished, the first half's if both raise.
+    """
+    params = getattr(args1[0], "params", None)
+    if params is None or params.size < TWIN_MIN_PARAMS or _cpus() < 2:
+        return f(*args1), f(*args2)
+    second = _worker().submit(f, *args2)
+    try:
+        first = f(*args1)
+    except BaseException:
+        second.exception()  # waits for the second half
+        raise
+    return first, second.result()
 
 
 def select_action(nets: AgentNets, state: np.ndarray, sigma: float,
@@ -171,12 +245,27 @@ def critic_target(nets: AgentNets, rewards: np.ndarray, next_states: np.ndarray,
     """The shared clipped target r + gamma * min(Q'_1, Q'_2)(s', pi'(s')) that
     both critics regress toward; no terminal masking (continuing task)."""
     a_next, _ = nets.target_actor.forward(next_states)
-    (q1, _), (q2, _) = nets.critics_forward(
-        (nets.target_critic1, nets.target_critic2), next_states, a_next)
+    x, fcache = nets.critic_input(next_states, a_next)
+    (q1, _), (q2, _) = _twin(_critic_q, (nets.target_critic1, x, fcache),
+                             (nets.target_critic2, x, fcache))
     y = rewards + gamma * np.minimum(q1, q2)
     if not np.all(np.isfinite(y)):
         raise nn.NonFiniteError("non-finite critic target")
     return y
+
+
+def _critic_step(critic: nn.MLP, opt: nn.Adam, x: np.ndarray,
+                 y: np.ndarray) -> float:
+    """One Adam step of one critic toward y; returns the loss before it."""
+    q, cache = critic.forward(x)
+    err = q[..., 0] - y
+    loss = float(np.mean(err**2))
+    if not np.isfinite(loss):
+        raise nn.NonFiniteError("non-finite critic loss")
+    grads, _ = critic.backward(cache, (2.0 * err / err.shape[0])[..., None],
+                               inputs=False)
+    opt.step(critic, grads)
+    return loss
 
 
 def update_critics(nets: AgentNets, batch, opts: tuple[nn.Adam, nn.Adam],
@@ -184,18 +273,9 @@ def update_critics(nets: AgentNets, batch, opts: tuple[nn.Adam, nn.Adam],
     """One Adam step per critic on the mean squared Bellman error."""
     s, a, r, s2 = batch
     y = critic_target(nets, r, s2, gamma)
-    critics = (nets.critic1, nets.critic2)
-    losses = []
-    for critic, opt, (q, caches) in zip(critics, opts, nets.critics_forward(critics, s, a)):
-        err = q - y
-        loss = float(np.mean(err**2))
-        if not np.isfinite(loss):
-            raise nn.NonFiniteError("non-finite critic loss")
-        grads, _ = nets.critic_backward(critic, caches, 2.0 * err / err.shape[0],
-                                        inputs=False)
-        opt.step(critic, grads)
-        losses.append(loss)
-    return losses[0], losses[1]
+    x, _ = nets.critic_input(s, a)
+    return _twin(_critic_step, (nets.critic1, opts[0], x, y),
+                 (nets.critic2, opts[1], x, y))
 
 
 def update_actor(nets: AgentNets, states: np.ndarray, opt: nn.Adam,
@@ -207,14 +287,17 @@ def update_actor(nets: AgentNets, states: np.ndarray, opt: nn.Adam,
     descent on the negated objective.
     """
     a, acache = nets.actor.forward(states)
-    (q1, c1), (q2, c2) = nets.critics_forward((nets.critic1, nets.critic2), states, a)
+    x, fcache = nets.critic_input(states, a)
+    (q1, c1), (q2, c2) = _twin(_critic_q, (nets.critic1, x, fcache),
+                               (nets.critic2, x, fcache))
     objective = float(np.mean(np.minimum(q1, q2)))
     if not np.isfinite(objective):
         raise nn.NonFiniteError("non-finite actor objective")
     b = states.shape[0]
     pick1 = (q1 <= q2).astype(np.float32)
-    _, gin1 = nets.critic_backward(nets.critic1, c1, pick1 / b, params=False)
-    _, gin2 = nets.critic_backward(nets.critic2, c2, (1.0 - pick1) / b, params=False)
+    (_, gin1), (_, gin2) = _twin(partial(nets.critic_backward, params=False),
+                                 (nets.critic1, c1, pick1 / b),
+                                 (nets.critic2, c2, (1.0 - pick1) / b))
     d = states.shape[1]
     grad_a = gin1[:, d:] + gin2[:, d:]
     if act_reg > 0.0:
@@ -227,10 +310,21 @@ def update_actor(nets: AgentNets, states: np.ndarray, opt: nn.Adam,
     return objective
 
 
+def _polyak_half(target_critic: nn.MLP, critic: nn.MLP, target_actor: nn.MLP,
+                 actor: nn.MLP, actor_part: slice, tau: float) -> None:
+    nn.polyak_update(target_critic, critic, tau)
+    nn.polyak_update(target_actor, actor, tau, actor_part)
+
+
 def polyak_all(nets: AgentNets, tau: float) -> None:
-    nn.polyak_update(nets.target_actor, nets.actor, tau)
-    nn.polyak_update(nets.target_critic1, nets.critic1, tau)
-    nn.polyak_update(nets.target_critic2, nets.critic2, tau)
+    """Polyak-average every target network; each half takes one critic and
+    half of the actor, so that the two threads carry the same load."""
+    half = nets.actor.params.size // 2
+    _twin(_polyak_half,
+          (nets.target_critic1, nets.critic1, nets.target_actor, nets.actor,
+           slice(None, half), tau),
+          (nets.target_critic2, nets.critic2, nets.target_actor, nets.actor,
+           slice(half, None), tau))
 
 
 @dataclass

@@ -224,14 +224,17 @@ class Adam:
             p -= np.divide(t, d, out=t)
 
 
-def polyak_update(target: MLP, main: MLP, tau: float) -> None:
-    """In-place target <- tau * main + (1 - tau) * target, every tensor."""
+def polyak_update(target: MLP, main: MLP, tau: float,
+                  part: slice = slice(None)) -> None:
+    """In-place target <- tau * main + (1 - tau) * target over ``params[part]``,
+    by default every tensor."""
     if not 0.0 <= tau <= 1.0:
         raise ValueError("tau must be in [0, 1]")
     if target.sizes != main.sizes:
         raise ValueError("shape mismatch between target and main parameters")
-    target.params *= 1.0 - tau
-    target.params += tau * main.params
+    p = target.params[part]
+    p *= 1.0 - tau
+    p += tau * main.params[part]
 
 
 # ---------------------------------------------------------------------------

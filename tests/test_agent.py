@@ -1,10 +1,15 @@
+import os
+import threading
+import time
+import warnings
+
 import numpy as np
 import pytest
 
 from irsrl import nn
 from irsrl import agent as ag
 from irsrl.agent import (AgentConfig, AgentNets, ReplayBuffer, critic_target,
-                         select_action, update_actor, update_critics)
+                         polyak_all, select_action, update_actor, update_critics)
 from irsrl.env import Transition
 
 
@@ -24,6 +29,13 @@ def make_nets(state_dim=6, action_dim=2, **kwargs):
 def make_transition(rng, sdim, adim):
     return Transition(rng.standard_normal(sdim), rng.uniform(-np.pi, np.pi, adim),
                       float(rng.standard_normal()), rng.standard_normal(sdim))
+
+
+def learner_batch(rng, n=8, sdim=6, adim=2):
+    return (rng.standard_normal((n, sdim)).astype(np.float32),
+            rng.uniform(-np.pi, np.pi, (n, adim)).astype(np.float32),
+            rng.standard_normal(n).astype(np.float32),
+            rng.standard_normal((n, sdim)).astype(np.float32))
 
 
 class TestReplayBuffer:
@@ -112,16 +124,10 @@ class TestCriticTarget:
 
 
 class TestUpdateCritics:
-    def _batch(self, rng, n=8, sdim=6, adim=2):
-        return (rng.standard_normal((n, sdim)).astype(np.float32),
-                rng.uniform(-np.pi, np.pi, (n, adim)).astype(np.float32),
-                rng.standard_normal(n).astype(np.float32),
-                rng.standard_normal((n, sdim)).astype(np.float32))
-
     def test_fixed_point_zero_gradient(self):
         cfg, nets = make_nets()
         rng = np.random.default_rng(7)
-        s, a, _, s2 = self._batch(rng)
+        s, a, _, s2 = learner_batch(rng)
         nets.critic2 = nets.critic1.copy()
         nets.target_critic2 = nets.target_critic1.copy()
         # rewards chosen so that y equals the current Q exactly
@@ -138,7 +144,7 @@ class TestUpdateCritics:
     def test_single_transition_moves_toward_target(self):
         cfg, nets = make_nets()
         rng = np.random.default_rng(8)
-        s, a, r, s2 = self._batch(rng, n=1)
+        s, a, r, s2 = learner_batch(rng, n=1)
         opts = (nn.Adam.for_mlp(nets.critic1, 1e-2), nn.Adam.for_mlp(nets.critic2, 1e-2))
         y1 = critic_target(nets, r, s2, cfg.gamma)
         q_before, _ = nets.critic_forward(nets.critic1, s, a)
@@ -152,7 +158,7 @@ class TestUpdateCritics:
         cfg, nets = make_nets(critic_input="fourier", k_fourier=16)
         assert nets.critic1.weights[0].shape[0] == 32
         rng = np.random.default_rng(9)
-        batch = self._batch(rng)
+        batch = learner_batch(rng)
         opts = (nn.Adam.for_mlp(nets.critic1, 1e-3), nn.Adam.for_mlp(nets.critic2, 1e-3))
         update_critics(nets, batch, opts, cfg.gamma)  # shapes must be consistent
 
@@ -160,7 +166,7 @@ class TestUpdateCritics:
         # with a myopic discount the critics converge to batch regression of r
         cfg, nets = make_nets(gamma=1e-8)
         rng = np.random.default_rng(10)
-        batch = self._batch(rng, n=10)
+        batch = learner_batch(rng, n=10)
         opts = (nn.Adam.for_mlp(nets.critic1, 1e-3), nn.Adam.for_mlp(nets.critic2, 1e-3))
         loss = None
         for _ in range(5000):
@@ -245,6 +251,118 @@ class TestUpdateActor:
             results.append([w.copy() for w in nets.actor.weights])
         for w_a, w_b in zip(*results):
             assert np.array_equal(w_a, w_b)
+
+
+def force_threads(monkeypatch):
+    """Run critic2's halves on the worker thread even for tiny critics and on
+    a one-CPU machine."""
+    monkeypatch.setattr(ag, "TWIN_MIN_PARAMS", 0)
+    monkeypatch.setattr(ag, "_cpus", lambda: 2)
+
+
+@pytest.fixture
+def threaded(monkeypatch):
+    force_threads(monkeypatch)
+
+
+def worker_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("irsrl-twin-critic")]
+
+
+class TestTwinThread:
+    def _steps(self, critic_input):
+        """Targets, losses, objectives and all parameters over four updates,
+        and the threads that stepped critic2's optimizer."""
+        cfg, nets = make_nets(critic_input=critic_input)
+        opts = (nn.Adam.for_mlp(nets.critic1, 1e-2), nn.Adam.for_mlp(nets.critic2, 1e-2))
+        actor_opt = nn.Adam.for_mlp(nets.actor, 1e-2)
+        threads = set()
+
+        def step2(mlp, grads, step=opts[1].step):
+            threads.add(threading.current_thread().name.split("_")[0])
+            step(mlp, grads)
+
+        opts[1].step = step2
+        rng = np.random.default_rng(30)
+        out = []
+        for _ in range(4):
+            s, a, r, s2 = learner_batch(rng)
+            out.append(critic_target(nets, r, s2, cfg.gamma))
+            out.extend(update_critics(nets, (s, a, r, s2), opts, cfg.gamma))
+            out.append(update_actor(nets, s, actor_opt, act_reg=0.1))
+            polyak_all(nets, 0.1)
+        out.extend(getattr(nets, name).params.copy() for name in ag.MLP_NAMES)
+        return out, threads
+
+    @pytest.mark.parametrize("critic_input", ag.CRITIC_INPUTS)
+    def test_threaded_matches_serial(self, critic_input, monkeypatch):
+        serial, serial_threads = self._steps(critic_input)
+        force_threads(monkeypatch)
+        threaded, threaded_threads = self._steps(critic_input)
+        assert serial_threads == {"MainThread"}
+        assert threaded_threads == {"irsrl-twin-critic"}
+        assert len(serial) == len(threaded)
+        for x, y in zip(serial, threaded):
+            assert np.array_equal(x, y)
+
+    def test_polyak_all_covers_every_parameter_once(self, threaded):
+        _, nets = make_nets(critic_input="fourier")
+        for name in ag.MLP_NAMES[:3]:
+            getattr(nets, name).params[:] += 1.0
+        ref = nets.copy()
+        polyak_all(nets, 0.3)
+        for name in ag.MLP_NAMES[3:]:
+            nn.polyak_update(getattr(ref, name), getattr(ref, name.removeprefix("target_")), 0.3)
+            assert np.array_equal(getattr(nets, name).params, getattr(ref, name).params)
+
+    @pytest.mark.parametrize("bad", [1, 2])
+    def test_nonfinite_half_waits_for_other_half(self, bad, threaded):
+        cfg, nets = make_nets()
+        getattr(nets, f"critic{bad}").biases[-1][:] = np.nan
+        opts = (nn.Adam.for_mlp(nets.critic1, 1e-3), nn.Adam.for_mlp(nets.critic2, 1e-3))
+        good = opts[2 - bad]
+        finished = []
+
+        def slow_step(mlp, grads, step=good.step):
+            time.sleep(0.2)
+            step(mlp, grads)
+            finished.append(True)
+
+        good.step = slow_step
+        batch = learner_batch(np.random.default_rng(31))
+        with pytest.raises(nn.NonFiniteError, match="critic loss"):
+            update_critics(nets, batch, opts, cfg.gamma)
+        assert finished == [True]
+        assert good.t == 1
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_can_update(self, threaded):
+        cfg, nets = make_nets()
+        opts = (nn.Adam.for_mlp(nets.critic1, 1e-3), nn.Adam.for_mlp(nets.critic2, 1e-3))
+        batch = learner_batch(np.random.default_rng(32))
+        update_critics(nets, batch, opts, cfg.gamma)
+        assert worker_threads()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                update_critics(nets, batch, opts, cfg.gamma)
+                code = 0
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 30.0
+        while time.monotonic() < deadline:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            time.sleep(0.01)
+        else:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's update did not finish in 30 s")
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 class TestFourierSharing:
