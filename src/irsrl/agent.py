@@ -191,7 +191,8 @@ def _worker():
     global _pool
     with _pool_lock:
         if _pool is None:
-            # imported here: the import alone costs ~10 ms of every start-up
+            # imported on first use: the import takes about 5 ms, which runs
+            # that never start the worker (desk) should not pay at start-up
             from concurrent.futures import ThreadPoolExecutor
             _pool = ThreadPoolExecutor(1, thread_name_prefix="irsrl-twin-critic")
         return _pool

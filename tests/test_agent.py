@@ -1,4 +1,5 @@
 import os
+import signal
 import threading
 import time
 import warnings
@@ -265,10 +266,6 @@ def threaded(monkeypatch):
     force_threads(monkeypatch)
 
 
-def worker_threads():
-    return [t for t in threading.enumerate() if t.name.startswith("irsrl-twin-critic")]
-
-
 class TestTwinThread:
     def _steps(self, critic_input):
         """Targets, losses, objectives and all parameters over four updates,
@@ -341,7 +338,7 @@ class TestTwinThread:
         opts = (nn.Adam.for_mlp(nets.critic1, 1e-3), nn.Adam.for_mlp(nets.critic2, 1e-3))
         batch = learner_batch(np.random.default_rng(32))
         update_critics(nets, batch, opts, cfg.gamma)
-        assert worker_threads()
+        assert any(t.name.startswith("irsrl-twin-critic") for t in threading.enumerate())
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads
             pid = os.fork()
@@ -359,7 +356,7 @@ class TestTwinThread:
                 break
             time.sleep(0.01)
         else:
-            os.kill(pid, 9)
+            os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             pytest.fail("the forked child's update did not finish in 30 s")
         assert os.waitstatus_to_exitcode(status) == 0
