@@ -84,13 +84,24 @@ class Geometry:
         self.dest_cells = np.atleast_2d(np.asarray(self.dest_cells, dtype=float))
         if self.dest_cells.shape[0] < 1 or self.dest_cells.shape[1] != 3:
             raise ValueError("dest_cells must be a nonempty (n, 3) array")
+        for name in ("cube_side", "cell_side"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
         for name, p in (("source_pos", self.source_pos), ("irs_pos", self.irs_pos)):
             if p.shape != (3,):
                 raise ValueError(f"{name} must be a 3-vector")
-            if np.any(p < 0) or np.any(p > self.cube_side):
+            if not np.all((p >= 0) & (p <= self.cube_side)):
                 raise ValueError(f"{name} lies outside the cube")
-        if np.any(self.dest_cells < 0) or np.any(self.dest_cells > self.cube_side):
+        if not np.all((self.dest_cells >= 0) & (self.dest_cells <= self.cube_side)):
             raise ValueError("dest_cells lie outside the cube")
+        # one scalar norm per link, not a vectorized one: same bytes per slot
+        self.src_irs_dist = np.linalg.norm(self.source_pos - self.irs_pos)
+        self.irs_dest_dist = [np.linalg.norm(self.irs_pos - c) for c in self.dest_cells]
+        if not min(self.src_irs_dist, *self.irs_dest_dist) > 0:
+            raise ValueError("irs_pos coincides with source_pos or a dest_cells row")
+        self.moves = [[i] + self.cell_neighbors(i) for i in range(self.num_cells)]
+        self.norm_pos = self.dest_cells / self.cube_side
+        self._pathloss: dict[float, tuple[list[float], float]] = {}
 
     @property
     def num_cells(self) -> int:
@@ -103,6 +114,13 @@ class Geometry:
         axis_moves = np.sum(np.abs(diffs) > 1e-9, axis=1)
         mask = (axis_moves == 1) & (np.abs(dist - self.cell_side) < 1e-9)
         return [int(j) for j in np.flatnonzero(mask)]
+
+    def link_pathloss_db(self, l: float) -> tuple[list[float], float]:
+        """Per-cell IRS-destination and source-IRS pathloss (dB), once per l."""
+        if l not in self._pathloss:
+            self._pathloss[l] = ([pathloss_db(d, l) for d in self.irs_dest_dist],
+                                 pathloss_db(self.src_irs_dist, l))
+        return self._pathloss[l]
 
 
 @dataclass
@@ -235,16 +253,14 @@ def sample_channels(
     if not (0 <= dest_cell_index < n_cells):
         raise IndexError(f"dest_cell_index {dest_cell_index} out of range [0, {n_cells})")
     m, n = phases.g_phases.shape
-
-    d_h = np.linalg.norm(geometry.irs_pos - geometry.dest_cells[dest_cell_index])
-    d_g = np.linalg.norm(geometry.source_pos - geometry.irs_pos)
+    pl_h, pl_g = geometry.link_pathloss_db(params.pathloss_exp)
 
     xi_h = params.multipath_std * rng.standard_normal(m)
-    h_db = pathloss_db(d_h, params.pathloss_exp) + shadowing.dest_values[dest_cell_index] + xi_h
+    h_db = pl_h[dest_cell_index] + shadowing.dest_values[dest_cell_index] + xi_h
     h = 10.0 ** (h_db / 20.0) * np.exp(1j * phases.h_phases[dest_cell_index])
 
     xi_g = params.multipath_std * rng.standard_normal((m, n))
-    g_db = pathloss_db(d_g, params.pathloss_exp) + shadowing.src_irs_value + xi_g
+    g_db = pl_g + shadowing.src_irs_value + xi_g
     G = 10.0 ** (g_db / 20.0) * np.exp(1j * phases.g_phases)
 
     return ChannelSnapshot(h=h, G=G, t=t)

@@ -59,7 +59,7 @@ def move_destination(
     geometry: ch.Geometry, cell_index: int, rng: np.random.Generator
 ) -> int:
     """Uniform choice among the current cell and its edge-adjacent cells."""
-    options = [cell_index] + geometry.cell_neighbors(cell_index)
+    options = geometry.moves[cell_index]
     return int(options[rng.integers(len(options))])
 
 
@@ -76,7 +76,8 @@ class IrsEnv:
 
     ``rng_channel`` drives shadowing/phase/multipath draws and ``rng_motion``
     the destination's random walk, so channel realizations are identical
-    across agent variants that share the same seed.
+    across agent variants that share the same seed.  The state is one
+    vector whose window, a (W, 3 + M) view, shifts in place each slot.
     """
 
     def __init__(
@@ -96,17 +97,12 @@ class IrsEnv:
 
     # -- helpers ----------------------------------------------------------
 
-    def _norm_pos(self, cell_index: int) -> np.ndarray:
-        return self.cfg.geometry.dest_cells[cell_index] / self.cfg.geometry.cube_side
-
     def _assemble_state(self) -> np.ndarray:
-        parts = [self._norm_pos(self.cell)]
-        for pos, theta in self.history:
-            parts.append(self._norm_pos(pos))
-            parts.append(theta)
+        s = self._state
+        s[:3] = self.cfg.geometry.norm_pos[self.cell]
         if self.cfg.variant == "snr_state":
-            parts.append(np.array([self.prev_reward_db / 100.0]))
-        return np.concatenate(parts)
+            s[-1] = self.prev_reward_db / 100.0
+        return s.copy()
 
     def _reward_db(self, snapshot: ch.ChannelSnapshot) -> float:
         p = self.cfg.params
@@ -127,7 +123,9 @@ class IrsEnv:
         self.theta = np.zeros(cfg.m)
         self.cell = int(self.rng_motion.integers(cfg.geometry.num_cells))
         # Window padded by replicating the initial position with zero phases.
-        self.history = [(self.cell, np.zeros(cfg.m)) for _ in range(cfg.w)]
+        self._state = np.zeros(state_dim(cfg))
+        self._window = self._state[3:3 + cfg.w * (3 + cfg.m)].reshape(cfg.w, 3 + cfg.m)
+        self._window[:, :3] = cfg.geometry.norm_pos[self.cell]
         snap = ch.sample_channels(
             0, self.cell, self._shadowing, self._phases, cfg.geometry, cfg.params,
             self.rng_channel,
@@ -161,8 +159,10 @@ class IrsEnv:
         reward = self._reward_db(snap)
         # 5) destination moves
         self.cell = move_destination(cfg.geometry, self.cell, self.rng_motion)
-        # 6) window shift (exact FIFO)
-        self.history = [(prev_cell, self.theta.copy())] + self.history[:-1]
+        # 6) window shift (exact FIFO, newest entry first)
+        self._window[1:] = self._window[:-1]
+        self._window[0, :3] = cfg.geometry.norm_pos[prev_cell]
+        self._window[0, 3:] = self.theta
         self.prev_reward_db = reward
         # 7) assemble
         state = self._assemble_state()

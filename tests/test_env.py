@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from irsrl import channel as ch
+from irsrl import config as cfgmod
 from irsrl import signal as sig
 from irsrl.env import EnvConfig, IrsEnv, apply_action, move_destination, state_dim
 
@@ -69,6 +70,112 @@ class TestMoveDestination:
             cell = move_destination(g, cell, rng)
             counts[cell] += 1
         assert np.all(np.abs(counts / counts.sum() - 0.25) < 0.02)
+
+
+def grid_3x3():
+    # 3 x 3 x 1 block of unit cells: 4 corners, 4 edge cells, 1 centre (4)
+    return ch.Geometry(dest_cells=np.array(
+        [[14.5 + x, 14.5 + y, 0.5] for y in range(3) for x in range(3)]))
+
+
+class TestMoveTable:
+    def test_matches_cell_neighbors(self):
+        g = grid_3x3()
+        for i in range(g.num_cells):
+            assert g.moves[i] == [i] + g.cell_neighbors(i)
+        assert [len(g.moves[i]) for i in (0, 1, 4)] == [3, 4, 5]
+        assert sorted(g.moves[4]) == [1, 3, 4, 5, 7]
+
+    def test_centre_cell_distribution(self):
+        g = grid_3x3()
+        rng = np.random.default_rng(3)
+        counts = np.zeros(9)
+        for _ in range(30_000):
+            counts[move_destination(g, 4, rng)] += 1
+        freq = counts / counts.sum()
+        assert np.allclose(freq[[1, 3, 4, 5, 7]], 0.2, atol=0.02)
+        assert np.all(freq[[0, 2, 6, 8]] == 0.0)
+
+
+def reference_episodes(cfg, seed, actions, episodes):
+    """IrsEnv's trajectory recomputed with the per-slot formulas: the link
+    distances and pathlosses per slot, cell_neighbors per move, and the
+    state concatenated from a list window.  Yields (state, reward, h, G,
+    theta) per slot; reward is None after a reset."""
+    g, p = cfg.geometry, cfg.params
+    rc, rm = np.random.default_rng(seed), np.random.default_rng(seed + 1)
+
+    def sample(cell, sh, ph):
+        d_h = np.linalg.norm(g.irs_pos - g.dest_cells[cell])
+        d_g = np.linalg.norm(g.source_pos - g.irs_pos)
+        xi_h = p.multipath_std * rc.standard_normal(cfg.m)
+        h_db = ch.pathloss_db(d_h, p.pathloss_exp) + sh.dest_values[cell] + xi_h
+        h = 10.0 ** (h_db / 20.0) * np.exp(1j * ph.h_phases[cell])
+        xi_g = p.multipath_std * rc.standard_normal((cfg.m, cfg.n))
+        g_db = ch.pathloss_db(d_g, p.pathloss_exp) + sh.src_irs_value + xi_g
+        return h, 10.0 ** (g_db / 20.0) * np.exp(1j * ph.g_phases)
+
+    def state(cell, window, prev_db):
+        parts = [g.dest_cells[cell] / g.cube_side]
+        for c, th in window:
+            parts += [g.dest_cells[c] / g.cube_side, th]
+        if cfg.variant == "snr_state":
+            parts.append(np.array([prev_db / 100.0]))
+        return np.concatenate(parts)
+
+    def snr_db(h, theta, G):
+        return sig.snr_db(sig.snr(h, theta, G, p.tx_power_linear, p.noise_var))
+
+    sh = ph = None
+    for _ in range(episodes):
+        if sh is None or not cfg.persistent_channel:
+            sh = ch.init_shadowing(g, p, rc)
+            ph = ch.init_phases(g, cfg.m, cfg.n, rc)
+        theta = np.zeros(cfg.m)
+        cell = int(rm.integers(g.num_cells))
+        window = [(cell, np.zeros(cfg.m)) for _ in range(cfg.w)]
+        h, G = sample(cell, sh, ph)
+        prev_db = snr_db(h, theta, G)
+        yield state(cell, window, prev_db), None, h, G, theta
+        for a in actions:
+            sh = ch.step_shadowing(sh, p, rc)
+            ph = ch.step_phases(ph, p, rc)
+            theta = np.clip(theta + a, -np.pi, np.pi)
+            h, G = sample(cell, sh, ph)
+            prev_db = snr_db(h, theta, G)
+            options = [cell] + g.cell_neighbors(cell)
+            window = [(cell, theta.copy())] + window[:-1]
+            cell = int(options[rm.integers(len(options))])
+            yield state(cell, window, prev_db), prev_db, h, G, theta
+
+
+class TestTrajectoryBytes:
+    @pytest.mark.parametrize("preset, variant, persistent, grid", [
+        ("desk", "base", True, False), ("desk", "snr-state", True, False),
+        ("desk", "base", False, True), ("paper", "base", True, False),
+        ("paper", "snr-state", False, False),
+    ])
+    def test_matches_per_slot_reference(self, preset, variant, persistent, grid):
+        cfg = cfgmod.env_config(cfgmod.resolve(
+            {"preset": preset, "variant": variant, "episode_len": 40,
+             "persistent_channel": persistent}, use_env=False))
+        if grid:
+            cfg.geometry = grid_3x3()
+        actions = np.random.default_rng(9).uniform(-1.5, 1.5, (cfg.episode_len, cfg.m))
+        env = IrsEnv(cfg, np.random.default_rng(4), np.random.default_rng(5))
+        got = []
+        for _ in range(3):
+            got.append((env.reset(), None, env.last_snapshot.h, env.last_snapshot.G,
+                        env.theta))
+            for a in actions:
+                s, r = env.step(a)
+                got.append((s, r, env.last_snapshot.h, env.last_snapshot.G, env.theta))
+        want = list(reference_episodes(cfg, 4, actions, 3))
+        assert len(got) == len(want) == 3 * (cfg.episode_len + 1)
+        for g_slot, w_slot in zip(got, want):
+            assert g_slot[1] == w_slot[1]
+            for a, b in zip(g_slot[:1] + g_slot[2:], w_slot[:1] + w_slot[2:]):
+                assert np.array_equal(a, b)
 
 
 class TestReset:

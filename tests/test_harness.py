@@ -65,7 +65,8 @@ class TestConfig:
         ("lr", 0.0), ("hidden", 0), ("n_hidden_layers", 0), ("buffer", 0),
         ("expl_sigma0", -0.1), ("expl_decay", 0.0), ("warmup_steps", -1),
         ("sigma_b2", 0.0), ("k_fourier", 0), ("reward_scale", 0.0),
-        ("act_reg", -0.1),
+        ("act_reg", -0.1), ("cube_side", 0.0), ("cube_side", -1.0),
+        ("cell_side", 0.0), ("cell_side", -1.0),
     ])
     def test_rejects_out_of_range(self, key, value):
         # the key must appear as a word of its own or as the stem of the
@@ -99,6 +100,16 @@ class TestConfig:
     @pytest.mark.parametrize("key", ["source_pos", "irs_pos", "dest_cells"])
     def test_rejects_geometry_outside_cube(self, key):
         value = [[14.5, 14.5, 25.0]] if key == "dest_cells" else [1.0, 25.0, 2.0]
+        with pytest.raises(ConfigError, match=key):
+            resolve({key: value}, use_env=False)
+
+    @pytest.mark.parametrize("key, value", [
+        ("irs_pos", [1.0, 10.0, 2.0]), ("source_pos", [10.0, 2.0, 3.0]),
+        ("dest_cells", [[14.5, 14.5, 0.5], [10.0, 2.0, 3.0]]),
+    ])
+    def test_rejects_coincident_nodes(self, key, value):
+        # a node on the IRS has no finite pathloss; defaults put the source
+        # at [1, 10, 2] and the IRS at [10, 2, 3]
         with pytest.raises(ConfigError, match=key):
             resolve({key: value}, use_env=False)
 
