@@ -70,7 +70,8 @@ def _default_dest_cells() -> np.ndarray:
 
 @dataclass
 class Geometry:
-    """Fixed node positions and the destination's candidate cells (meters)."""
+    """Fixed node positions and the destination's candidate cells (meters).
+    Construction builds the per-cell tables each slot reads; do not mutate."""
 
     source_pos: np.ndarray = field(default_factory=lambda: np.array([1.0, 10.0, 2.0]))
     irs_pos: np.ndarray = field(default_factory=lambda: np.array([10.0, 2.0, 3.0]))
@@ -94,7 +95,8 @@ class Geometry:
                 raise ValueError(f"{name} lies outside the cube")
         if not np.all((self.dest_cells >= 0) & (self.dest_cells <= self.cube_side)):
             raise ValueError("dest_cells lie outside the cube")
-        # one scalar norm per link, not a vectorized one: same bytes per slot
+        # scalar norms, as the per-slot formula took: a vectorized norm may
+        # differ in the last bit
         self.src_irs_dist = np.linalg.norm(self.source_pos - self.irs_pos)
         self.irs_dest_dist = [np.linalg.norm(self.irs_pos - c) for c in self.dest_cells]
         if not min(self.src_irs_dist, *self.irs_dest_dist) > 0:
