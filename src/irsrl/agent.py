@@ -72,6 +72,9 @@ class AgentConfig:
                      "k_fourier"):
             if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        if not self.buffer_capacity >= self.batch:  # else no update ever runs
+            raise ValueError(f"buffer_capacity must be >= batch ({self.batch}), "
+                             f"got {self.buffer_capacity!r}")
         for name in ("lr", "sigma_b2", "reward_scale"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
@@ -211,13 +214,12 @@ def _twin(f, args1, args2):
     where args1[0] and args2[0] are the critics (or their targets).
 
     The second half runs on the worker thread while this thread runs the
-    first, if the critics have ``params`` of at least TWIN_MIN_PARAMS
-    elements and the process may use more than one CPU; otherwise the halves
-    run here, in order.  An exception from either half is raised only after
+    first, if the critics have at least TWIN_MIN_PARAMS parameters and the
+    process may use more than one CPU; otherwise the halves run here, in
+    order.  An exception from either half is raised only after
     both halves have finished, the first half's if both raise.
     """
-    params = getattr(args1[0], "params", None)
-    if params is None or params.size < TWIN_MIN_PARAMS or _cpus() < 2:
+    if args1[0].params.size < TWIN_MIN_PARAMS or _cpus() < 2:
         return f(*args1), f(*args2)
     second = _worker().submit(f, *args2)
     try:

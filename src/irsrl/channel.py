@@ -149,7 +149,6 @@ class ChannelSnapshot:
 
     h: np.ndarray   # complex (M,)
     G: np.ndarray   # complex (M, N)
-    t: int
 
 
 def pathloss_db(d, l: float = 2.3):
@@ -238,7 +237,6 @@ def step_phases(
 
 
 def sample_channels(
-    t: int,
     dest_cell_index: int,
     shadowing: ShadowingState,
     phases: PhaseState,
@@ -265,4 +263,4 @@ def sample_channels(
     g_db = pl_g + shadowing.src_irs_value + xi_g
     G = 10.0 ** (g_db / 20.0) * np.exp(1j * phases.g_phases)
 
-    return ChannelSnapshot(h=h, G=G, t=t)
+    return ChannelSnapshot(h=h, G=G)

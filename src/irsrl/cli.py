@@ -60,7 +60,7 @@ def main(argv=None) -> int:
                 cfg = replace(cfg, seeds=[args.seed])
             if args.out:
                 cfg = replace(cfg, out_dir=args.out)
-    except cfgmod.ConfigError as e:
+    except (cfgmod.ConfigError, ValueError) as e:  # replace() re-validates
         print(f"config error: {e}", file=sys.stderr)
         return 2
 

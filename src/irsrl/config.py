@@ -7,6 +7,8 @@ drifting channel); "desk" is a CI-scale variant (M=8, N=3, hidden 128, k=64,
 core.  The desk channel is statics-only (frozen shadowing and phases,
 multipath noise kept) so that a position-conditional optimum exists within
 the small step budget; the desk optimizer block is tuned accordingly.
+Either way each seed's env draws one channel and carries it across
+episodes, which are time limits of a continuing task.
 
 Any config key can be overridden by an environment variable IRSRL_<KEY>
 (value parsed as JSON, falling back to a bare string).
@@ -60,7 +62,6 @@ class ExperimentConfig:
     m: int = 8
     n: int = 3
     w: int = 5
-    persistent_channel: bool = True
     # channel (desk default: static shadowing/phases, multipath noise only,
     # so a position-conditional optimum exists within the small step budget)
     pathloss_exp: float = 2.3
@@ -102,8 +103,11 @@ class ExperimentConfig:
             raise ValueError(f"preset must be one of {PRESETS}, got {self.preset!r}")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if not self.seeds:
-            raise ValueError(f"seeds must be a nonempty list, got {self.seeds!r}")
+        # a repeated seed would write its rows and checkpoint twice
+        s = self.seeds
+        if not s or min(s) < 0 or len(set(s)) < len(s):
+            raise ValueError(f"seeds must be a nonempty list of distinct integers "
+                             f">= 0, got {s!r}")
         if not self.episodes >= 1:
             raise ValueError(f"episodes must be >= 1, got {self.episodes!r}")
 
@@ -142,7 +146,6 @@ _PAPER_OVERRIDES = dict(
     reward_scale=1.0,
 )
 
-_FIELDS = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
 _HINTS = typing.get_type_hints(ExperimentConfig)
 
 
@@ -150,7 +153,7 @@ def resolve(overrides: dict, use_env: bool = True) -> ExperimentConfig:
     """Preset defaults -> file overrides -> IRSRL_* environment overrides."""
     if not isinstance(overrides, dict):
         raise ConfigError("config root must be a JSON object")
-    unknown = set(overrides) - _FIELDS.keys()
+    unknown = set(overrides) - _HINTS.keys()
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
 
@@ -160,14 +163,14 @@ def resolve(overrides: dict, use_env: bool = True) -> ExperimentConfig:
     merged.update(overrides)
 
     if use_env:
-        for key in _FIELDS:
+        for key in _HINTS:
             raw = os.environ.get(ENV_PREFIX + key.upper())
             if raw is not None:
                 try:
                     value = json.loads(raw)
                 except json.JSONDecodeError:
                     value = raw
-                if _FIELDS[key] == "str" and not isinstance(value, str):
+                if _HINTS[key] is str and not isinstance(value, str):
                     value = raw  # a string key keeps "123" as text
                 merged[key] = value
 
@@ -208,7 +211,7 @@ def _from_fields(target, cfg: ExperimentConfig, **explicit):
     """``target(...)`` from every key of ``cfg`` named like one of its fields
     (a None key keeps the target's default); ``explicit`` values win."""
     shared = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(target)
-              if f.name in _FIELDS and getattr(cfg, f.name) is not None}
+              if f.name in _HINTS and getattr(cfg, f.name) is not None}
     return target(**{**shared, **explicit})
 
 

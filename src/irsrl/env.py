@@ -28,7 +28,6 @@ class EnvConfig:
     w: int = 5                        # state window length
     episode_len: int = 300
     variant: str = "base"
-    persistent_channel: bool = False  # keep channel state across resets
     params: ch.ChannelParams = field(default_factory=ch.ChannelParams)
     geometry: ch.Geometry = field(default_factory=ch.Geometry)
 
@@ -89,8 +88,8 @@ class IrsEnv:
         self.cfg = config
         self.rng_channel = rng_channel
         self.rng_motion = rng_motion
-        self._shadowing: ch.ShadowingState | None = None
-        self._phases: ch.PhaseState | None = None
+        self._shadowing = ch.init_shadowing(config.geometry, config.params, rng_channel)
+        self._phases = ch.init_phases(config.geometry, config.m, config.n, rng_channel)
         self.t = 0
         self.done = True
         self.last_snapshot: ch.ChannelSnapshot | None = None
@@ -114,10 +113,6 @@ class IrsEnv:
 
     def reset(self) -> np.ndarray:
         cfg = self.cfg
-        fresh = self._shadowing is None or not cfg.persistent_channel
-        if fresh:
-            self._shadowing = ch.init_shadowing(cfg.geometry, cfg.params, self.rng_channel)
-            self._phases = ch.init_phases(cfg.geometry, cfg.m, cfg.n, self.rng_channel)
         self.t = 0
         self.done = False
         self.theta = np.zeros(cfg.m)
@@ -127,7 +122,7 @@ class IrsEnv:
         self._window = self._state[3:3 + cfg.w * (3 + cfg.m)].reshape(cfg.w, 3 + cfg.m)
         self._window[:, :3] = cfg.geometry.norm_pos[self.cell]
         snap = ch.sample_channels(
-            0, self.cell, self._shadowing, self._phases, cfg.geometry, cfg.params,
+            self.cell, self._shadowing, self._phases, cfg.geometry, cfg.params,
             self.rng_channel,
         )
         self.last_snapshot = snap
@@ -149,10 +144,9 @@ class IrsEnv:
         prev_cell = self.cell
         self.theta = apply_action(self.theta, action)
         # 3) channel realization at the current cell
-        self.t += 1
         snap = ch.sample_channels(
-            self.t, self.cell, self._shadowing, self._phases, cfg.geometry,
-            cfg.params, self.rng_channel,
+            self.cell, self._shadowing, self._phases, cfg.geometry, cfg.params,
+            self.rng_channel,
         )
         self.last_snapshot = snap
         # 4) reward
@@ -166,6 +160,7 @@ class IrsEnv:
         self.prev_reward_db = reward
         # 7) assemble
         state = self._assemble_state()
+        self.t += 1
         if self.t >= cfg.episode_len:
             self.done = True
         return state, float(reward)

@@ -98,7 +98,7 @@ def final_performance(metrics_path, last: int = 10) -> float:
 
 
 SWEEPS = {
-    "variant": ("variant", ["base", "snr-state", "ff"]),
+    "variant": ("variant", list(cfgmod.VARIANTS)),
     "window": ("w", [1, 3, 5]),
     "irs-size": ("m", [5, 10, 15, 20, 25, 30]),
 }

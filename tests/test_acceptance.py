@@ -184,7 +184,6 @@ SANITY = {
     "phase_drift": 0.0,
     "multipath_std": 0.0,
     "dest_cells": [[15.0, 15.0, 0.5]],
-    "persistent_channel": True,
     "gamma": 0.9,
     "lr": 1e-3,
     "reward_scale": 0.05,

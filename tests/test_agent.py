@@ -183,6 +183,8 @@ class TestUpdateActor:
         rng = np.random.default_rng(11)
 
         class QuadCritic:
+            params = np.zeros(0)  # below TWIN_MIN_PARAMS: the serial path
+
             def forward(self, x):
                 a = x[:, sdim:]
                 return -np.sum(a**2, axis=1, keepdims=True), ("quad", x)

@@ -180,7 +180,7 @@ class TestSampleChannels:
         rng = np.random.default_rng(0)
         sh = ch.init_shadowing(g, p, rng)
         ph = ch.PhaseState(h_phases=np.zeros((1, 3)), g_phases=np.zeros((3, 2)))
-        snap = ch.sample_channels(0, 0, sh, ph, g, p, rng)
+        snap = ch.sample_channels(0, sh, ph, g, p, rng)
         assert np.allclose(snap.h, 1.0 + 0.0j)
         assert np.allclose(snap.G, 1.0 + 0.0j)
 
@@ -194,7 +194,7 @@ class TestSampleChannels:
         rng = np.random.default_rng(0)
         sh = ch.init_shadowing(g, p, rng)
         ph = ch.PhaseState(h_phases=np.zeros((1, 4)), g_phases=np.zeros((4, 1)))
-        snap = ch.sample_channels(0, 0, sh, ph, g, p, rng)
+        snap = ch.sample_channels(0, sh, ph, g, p, rng)
         assert np.allclose(np.abs(snap.h), 10 ** (-23.0 / 20.0))
         assert np.abs(snap.h[0]) == pytest.approx(0.0708, abs=1e-4)
 
@@ -206,7 +206,7 @@ class TestSampleChannels:
         ph = ch.PhaseState(h_phases=np.zeros((4, 100)), g_phases=np.zeros((100, 1)))
         mags = []
         for t in range(1000):
-            snap = ch.sample_channels(t, 0, sh, ph, geometry, p, rng)
+            snap = ch.sample_channels(0, sh, ph, geometry, p, rng)
             mags.append(20 * np.log10(np.abs(snap.h)))
         assert np.std(np.concatenate(mags)) == pytest.approx(0.6, rel=0.02)
 
@@ -215,7 +215,7 @@ class TestSampleChannels:
         sh = ch.init_shadowing(geometry, params, rng)
         ph = ch.init_phases(geometry, 4, 2, rng)
         with pytest.raises(IndexError):
-            ch.sample_channels(0, 99, sh, ph, geometry, params, rng)
+            ch.sample_channels(99, sh, ph, geometry, params, rng)
 
     def test_deterministic_given_seed(self, params, geometry):
         snaps = []
@@ -227,7 +227,7 @@ class TestSampleChannels:
             for t in range(5):
                 sh = ch.step_shadowing(sh, params, rng)
                 ph = ch.step_phases(ph, params, rng)
-                seq.append(ch.sample_channels(t, 0, sh, ph, geometry, params, rng))
+                seq.append(ch.sample_channels(0, sh, ph, geometry, params, rng))
             snaps.append(seq)
         for a, b in zip(*snaps):
             assert np.array_equal(a.h, b.h)

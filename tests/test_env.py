@@ -126,11 +126,9 @@ def reference_episodes(cfg, seed, actions, episodes):
     def snr_db(h, theta, G):
         return sig.snr_db(sig.snr(h, theta, G, p.tx_power_linear, p.noise_var))
 
-    sh = ph = None
+    sh = ch.init_shadowing(g, p, rc)
+    ph = ch.init_phases(g, cfg.m, cfg.n, rc)
     for _ in range(episodes):
-        if sh is None or not cfg.persistent_channel:
-            sh = ch.init_shadowing(g, p, rc)
-            ph = ch.init_phases(g, cfg.m, cfg.n, rc)
         theta = np.zeros(cfg.m)
         cell = int(rm.integers(g.num_cells))
         window = [(cell, np.zeros(cfg.m)) for _ in range(cfg.w)]
@@ -150,15 +148,14 @@ def reference_episodes(cfg, seed, actions, episodes):
 
 
 class TestTrajectoryBytes:
-    @pytest.mark.parametrize("preset, variant, persistent, grid", [
-        ("desk", "base", True, False), ("desk", "snr-state", True, False),
-        ("desk", "base", False, True), ("paper", "base", True, False),
-        ("paper", "snr-state", False, False),
+    @pytest.mark.parametrize("preset, variant, grid", [
+        ("desk", "base", False), ("desk", "snr-state", False),
+        ("desk", "base", True), ("paper", "base", False),
+        ("paper", "snr-state", False),
     ])
-    def test_matches_per_slot_reference(self, preset, variant, persistent, grid):
+    def test_matches_per_slot_reference(self, preset, variant, grid):
         cfg = cfgmod.env_config(cfgmod.resolve(
-            {"preset": preset, "variant": variant, "episode_len": 40,
-             "persistent_channel": persistent}, use_env=False))
+            {"preset": preset, "variant": variant, "episode_len": 40}, use_env=False))
         if grid:
             cfg.geometry = grid_3x3()
         actions = np.random.default_rng(9).uniform(-1.5, 1.5, (cfg.episode_len, cfg.m))
@@ -309,19 +306,11 @@ class TestStep:
 
 
 class TestChannelPersistence:
-    def test_fresh_reset_changes_channel(self):
-        _, env = make_env(m=2, n=1, persistent_channel=False)
-        env.reset()
-        h1 = env.last_snapshot.h.copy()
-        env.reset()
-        assert not np.allclose(env.last_snapshot.h, h1)
-
     def test_persistent_frozen_channel_survives_reset(self):
         params = ch.ChannelParams(corr_time=1e12, phase_drift=0.0,
                                   multipath_std=0.0)
         geom = ch.Geometry(dest_cells=np.array([[15.0, 15.0, 0.5]]))
-        cfg = EnvConfig(m=2, n=1, episode_len=5, persistent_channel=True,
-                        params=params, geometry=geom)
+        cfg = EnvConfig(m=2, n=1, episode_len=5, params=params, geometry=geom)
         env = IrsEnv(cfg, np.random.default_rng(0), np.random.default_rng(1))
         env.reset()
         h1 = env.last_snapshot.h.copy()

@@ -66,7 +66,8 @@ class TestConfig:
         ("expl_sigma0", -0.1), ("expl_decay", 0.0), ("warmup_steps", -1),
         ("sigma_b2", 0.0), ("k_fourier", 0), ("reward_scale", 0.0),
         ("act_reg", -0.1), ("cube_side", 0.0), ("cube_side", -1.0),
-        ("cell_side", 0.0), ("cell_side", -1.0),
+        ("cell_side", 0.0), ("cell_side", -1.0), ("buffer", 10),
+        ("seeds", [-1]), ("seeds", [0, 0]),
     ])
     def test_rejects_out_of_range(self, key, value):
         # the key must appear as a word of its own or as the stem of the
@@ -82,19 +83,19 @@ class TestConfig:
             load_config(p)
 
     @pytest.mark.parametrize("key, value", [
-        ("persistent_channel", "no"), ("m", 2.5), ("seeds", ["a", 1.5]),
-        ("episodes", 2.5), ("hidden", 64.0),
+        ("m", 2.5), ("episodes", 2.5), ("seeds", ["a", 1.5]),
+        ("hidden", 64.0),
     ])
     def test_rejects_wrong_type(self, key, value):
         with pytest.raises(ConfigError, match=rf"^{key} must be "):
             resolve({key: value}, use_env=False)
 
     def test_accepts_int_for_float_and_env_json(self, monkeypatch):
-        for key, raw in (("M", "4"), ("LR", "1"), ("PERSISTENT_CHANNEL", "false"),
-                         ("SEEDS", "[3, 4]"), ("OUT_DIR", "123")):
+        for key, raw in (("M", "4"), ("LR", "1"), ("SEEDS", "[3, 4]"),
+                         ("OUT_DIR", "123")):
             monkeypatch.setenv("IRSRL_" + key, raw)
         cfg = resolve({"tx_power_dbm": 60, "source_pos": [1, 2, 3]})
-        assert (cfg.m, cfg.lr, cfg.persistent_channel) == (4, 1, False)
+        assert (cfg.m, cfg.lr) == (4, 1)
         assert (cfg.seeds, cfg.out_dir, cfg.tx_power_dbm) == ([3, 4], "123", 60)
 
     @pytest.mark.parametrize("key", ["source_pos", "irs_pos", "dest_cells"])
@@ -312,6 +313,14 @@ class TestCli:
         r = self._run("train", "--config", str(p))
         assert r.returncode == 2
         assert "persistent_channel" in r.stderr
+
+    def test_negative_seed_exit_code(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({**TINY, "out_dir": str(tmp_path)}))
+        r = self._run("train", "--config", str(p), "--seed", "-1")
+        assert r.returncode == 2
+        assert r.stderr.startswith("config error: seeds")
+        assert len(r.stderr.strip().splitlines()) == 1
 
     def test_train_and_plot(self, tmp_path):
         p = tmp_path / "cfg.json"
