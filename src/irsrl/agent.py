@@ -240,7 +240,7 @@ def select_action(nets: AgentNets, state: np.ndarray, sigma: float,
     a, _ = nets.actor.forward(state.astype(np.float32))
     if sigma > 0:
         a = a + sigma * rng.standard_normal(action_dim)
-    return np.clip(a, -np.pi, np.pi)
+    return np.minimum(np.maximum(a, -np.pi), np.pi)
 
 
 def critic_target(nets: AgentNets, rewards: np.ndarray, next_states: np.ndarray,

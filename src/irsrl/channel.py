@@ -18,6 +18,7 @@ batch dimensions, so many independent chains can be stepped at once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -207,10 +208,10 @@ def step_shadowing(
 ) -> ShadowingState:
     """One AR(1) slot update; the stationary marginal N(0, K) is preserved."""
     rho = state.ar_coeff
-    scale = np.sqrt(max(0.0, 1.0 - rho * rho))
+    scale = math.sqrt(max(0.0, 1.0 - rho * rho))
     eps = rng.standard_normal(state.dest_values.shape)
     dest = rho * state.dest_values + scale * (eps @ state.spatial_chol.T)
-    eta = np.sqrt(params.shadow_power)
+    eta = math.sqrt(params.shadow_power)
     eps2 = rng.standard_normal(np.shape(state.src_irs_value))
     src = rho * state.src_irs_value + scale * eta * eps2
     return ShadowingState(dest_values=dest, src_irs_value=src,
@@ -229,11 +230,14 @@ def init_phases(
 def step_phases(
     state: PhaseState, params: ChannelParams, rng: np.random.Generator
 ) -> PhaseState:
-    """Wrapped-Gaussian random walk: phase += kappa * N(0,1), wrapped to [0, 2pi)."""
-    k = params.phase_drift
-    h = np.mod(state.h_phases + k * rng.standard_normal(state.h_phases.shape), TWO_PI)
-    g = np.mod(state.g_phases + k * rng.standard_normal(state.g_phases.shape), TWO_PI)
-    return PhaseState(h_phases=h, g_phases=g)
+    """Wrapped-Gaussian random walk: phase += kappa * N(0,1), wrapped to [0, 2pi).
+    One draw covers h then g, the order two separate draws would take."""
+    h, g = state.h_phases, state.g_phases
+    x = np.concatenate((h.ravel(), g.ravel()))
+    x += params.phase_drift * rng.standard_normal(x.size)
+    np.mod(x, TWO_PI, out=x)
+    return PhaseState(h_phases=x[:h.size].reshape(h.shape),
+                      g_phases=x[h.size:].reshape(g.shape))
 
 
 def sample_channels(
@@ -247,7 +251,9 @@ def sample_channels(
     """Realize h (reflect link) and G (source-IRS link) for one slot.
 
     Per-element log-magnitude = pathloss + link shadowing + i.i.d. multipath;
-    magnitudes via 10^(dB/20); phases taken from the phase state.
+    magnitudes via 10^(dB/20); phases taken from the phase state.  One
+    multipath draw covers h then G, and ``h`` and ``G`` are views of one
+    array: read them, do not write them.
     """
     n_cells = geometry.num_cells
     if not (0 <= dest_cell_index < n_cells):
@@ -255,12 +261,9 @@ def sample_channels(
     m, n = phases.g_phases.shape
     pl_h, pl_g = geometry.link_pathloss_db(params.pathloss_exp)
 
-    xi_h = params.multipath_std * rng.standard_normal(m)
-    h_db = pl_h[dest_cell_index] + shadowing.dest_values[dest_cell_index] + xi_h
-    h = 10.0 ** (h_db / 20.0) * np.exp(1j * phases.h_phases[dest_cell_index])
-
-    xi_g = params.multipath_std * rng.standard_normal((m, n))
-    g_db = pl_g + shadowing.src_irs_value + xi_g
-    G = 10.0 ** (g_db / 20.0) * np.exp(1j * phases.g_phases)
-
-    return ChannelSnapshot(h=h, G=G)
+    db = params.multipath_std * rng.standard_normal(m + m * n)
+    db[:m] += pl_h[dest_cell_index] + shadowing.dest_values[dest_cell_index]
+    db[m:] += pl_g + shadowing.src_irs_value
+    phase = np.concatenate((phases.h_phases[dest_cell_index], phases.g_phases.ravel()))
+    z = 10.0 ** (db / 20.0) * np.exp(1j * phase)
+    return ChannelSnapshot(h=z[:m], G=z[m:].reshape(m, n))

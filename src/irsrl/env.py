@@ -51,7 +51,7 @@ def apply_action(theta_prev: np.ndarray, delta_theta: np.ndarray) -> np.ndarray:
     delta_theta = np.asarray(delta_theta, dtype=float)
     if theta_prev.shape != delta_theta.shape:
         raise ValueError("theta_prev and delta_theta must have equal shape")
-    return np.clip(theta_prev + delta_theta, -np.pi, np.pi)
+    return np.minimum(np.maximum(theta_prev + delta_theta, -np.pi), np.pi)
 
 
 def move_destination(
@@ -136,6 +136,8 @@ class IrsEnv:
         action = np.asarray(action, dtype=float)
         if action.shape != (cfg.m,):
             raise ValueError(f"action must have shape ({cfg.m},)")
+        if not np.isfinite(action).all():
+            raise ValueError("action must be finite")
 
         # 1) advance channel processes
         self._shadowing = ch.step_shadowing(self._shadowing, cfg.params, self.rng_channel)

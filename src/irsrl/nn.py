@@ -104,7 +104,7 @@ class MLP:
         a = x[None, :] if single else x
         if a.shape[1] != self.weights[0].shape[0]:
             raise ValueError(f"input width {a.shape[1]} != {self.weights[0].shape[0]}")
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise ValueError("non-finite network input")
         acts = [a]   # post-activation of each layer, acts[0] = input
         z_last = None

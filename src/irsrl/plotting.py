@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import csv
 import math
-from xml.sax.saxutils import escape
+from html import escape
 
 WIDTH, HEIGHT = 640, 420
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 60, 20, 30, 45
@@ -108,10 +108,10 @@ def plot_curves(metrics_paths, out_path, labels=None,
             f'font-size="11" text-anchor="end">{_fmt(yv)}</text>')
     parts.append(
         f'<text x="{MARGIN_L + pw / 2}" y="{HEIGHT - 8}" font-size="13" '
-        f'text-anchor="middle">{escape(x_label)}</text>')
+        f'text-anchor="middle">{escape(x_label, quote=False)}</text>')
     parts.append(
         f'<text x="16" y="{MARGIN_T + ph / 2}" font-size="13" text-anchor="middle" '
-        f'transform="rotate(-90 16 {MARGIN_T + ph / 2})">{escape(y_label)}</text>')
+        f'transform="rotate(-90 16 {MARGIN_T + ph / 2})">{escape(y_label, quote=False)}</text>')
 
     for i, (label, (eps, mean, lo, hi)) in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
@@ -128,7 +128,7 @@ def plot_curves(metrics_paths, out_path, labels=None,
         parts.append(f'<line x1="{MARGIN_L + 8}" y1="{ly - 4}" x2="{MARGIN_L + 32}" '
                      f'y2="{ly - 4}" stroke="{color}" stroke-width="1.8"/>')
         parts.append(f'<text x="{MARGIN_L + 38}" y="{ly}" font-size="12">'
-                     f'{escape(str(label))}</text>')
+                     f'{escape(str(label), quote=False)}</text>')
 
     parts.append("</svg>")
     with open(out_path, "w", encoding="utf-8") as f:

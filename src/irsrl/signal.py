@@ -8,6 +8,8 @@ can cross-check the main path in tests and the ``oracle-check`` subcommand.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
@@ -46,11 +48,17 @@ def snr(h, theta, G, p_max: float, noise_var: float) -> float:
     if not noise_var > 0:
         raise ValueError("noise_var must be > 0")
     c = composite_channel(h, theta, G)
-    return float(p_max * np.linalg.norm(c) ** 2 / noise_var)
+    # np.linalg.norm's own formula for a 1-D complex vector, without its wrapper
+    norm = math.sqrt(c.real.dot(c.real) + c.imag.dot(c.imag))
+    return float(p_max * norm ** 2 / noise_var)
 
 
 def snr_db(linear):
-    """10 log10 of a positive linear SNR."""
+    """10 log10 of a positive linear SNR; NaN passes through as NaN."""
+    if isinstance(linear, float):
+        if linear <= 0:
+            raise ValueError("snr_db requires positive input")
+        return float(10.0 * np.log10(linear))
     linear = np.asarray(linear, dtype=float)
     if np.any(linear <= 0):
         raise ValueError("snr_db requires positive input")
@@ -82,7 +90,9 @@ def snr_upper_bound(h, G, p_max: float, noise_var: float) -> float:
     """
     h = np.asarray(h, dtype=complex)
     G = np.asarray(G, dtype=complex)
-    s = np.sum(np.abs(h) * np.linalg.norm(G, axis=1))
+    # np.linalg.norm(G, axis=1)'s own formula, without its wrapper
+    row_norms = np.sqrt(np.add.reduce((G.conj() * G).real, axis=1))
+    s = np.add.reduce(np.abs(h) * row_norms)
     return float(p_max * s**2 / noise_var)
 
 

@@ -3,6 +3,7 @@ import signal
 import threading
 import time
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -87,6 +88,30 @@ class TestSelectAction:
         for _ in range(200):
             a = select_action(nets, rng.standard_normal(6), 5.0, 2, rng)
             assert np.all(np.abs(a) <= np.pi)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("sigma", [0.0, 2.0])
+    def test_clamp_matches_np_clip(self, dtype, sigma):
+        # the ufunc clamp against the np.clip it replaced, at the +-pi edges
+        class Actor:
+            def forward(self, x):
+                return out, None
+
+        nets = SimpleNamespace(actor=Actor())
+        rng = np.random.default_rng(6)
+        edges = np.array([np.pi, -np.pi, np.float32(np.pi), -np.float32(np.pi), -0.0])
+        for _ in range(150):
+            m = int(rng.integers(1, 25))
+            out = np.where(rng.random(m) < 0.4, rng.choice(edges, m),
+                           rng.uniform(-5.0, 5.0, m)).astype(dtype)
+            seed = int(rng.integers(2**32))
+            r1, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = select_action(nets, np.zeros(3), sigma, m, r1)
+            a = out + sigma * r2.standard_normal(m) if sigma > 0 else out
+            want = np.clip(a, -np.pi, np.pi)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_warmup_uniform(self):
         _, nets = make_nets()

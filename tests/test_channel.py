@@ -234,6 +234,74 @@ class TestSampleChannels:
             assert np.array_equal(a.G, b.G)
 
 
+class TestOneDrawBits:
+    """The one-draw channel functions against the two-draw formulas they
+    replaced, bit for bit, and consuming the same stream."""
+
+    @staticmethod
+    def _instances(n_instances=120):
+        rng = np.random.default_rng(11)
+        for i in range(n_instances):
+            m, n = int(rng.integers(1, 9)), int(rng.integers(1, 6))
+            p = ch.ChannelParams(pathloss_exp=float(rng.uniform(1.5, 4.0)),
+                                 multipath_std=float(rng.uniform(0.0, 3.0)),
+                                 shadow_power=float(rng.uniform(0.0, 10.0)),
+                                 phase_drift=float(rng.uniform(0.0, 2.0)))
+            cells = rng.uniform(0.0, 20.0, (int(rng.integers(1, 5)), 3))
+            g = ch.Geometry(dest_cells=cells)
+            sh = ch.init_shadowing(g, p, rng)
+            yield rng, m, n, p, g, sh
+
+    def test_sample_channels_matches_two_draws(self):
+        for rng, m, n, p, g, sh in self._instances():
+            ph = ch.init_phases(g, m, n, rng)
+            cell = int(rng.integers(g.num_cells))
+            seed = int(rng.integers(2**32))
+            r1, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
+            snap = ch.sample_channels(cell, sh, ph, g, p, r1)
+            pl_h = ch.pathloss_db(np.linalg.norm(g.irs_pos - g.dest_cells[cell]),
+                                  p.pathloss_exp)
+            pl_g = ch.pathloss_db(np.linalg.norm(g.source_pos - g.irs_pos),
+                                  p.pathloss_exp)
+            h_db = pl_h + sh.dest_values[cell] + p.multipath_std * r2.standard_normal(m)
+            h = 10.0 ** (h_db / 20.0) * np.exp(1j * ph.h_phases[cell])
+            g_db = pl_g + sh.src_irs_value + p.multipath_std * r2.standard_normal((m, n))
+            G = 10.0 ** (g_db / 20.0) * np.exp(1j * ph.g_phases)
+            assert np.array_equal(snap.h, h) and np.array_equal(snap.G, G)
+            assert snap.h.shape == (m,) and snap.G.shape == (m, n)
+            assert r1.bit_generator.state == r2.bit_generator.state
+
+    @pytest.mark.parametrize("chains", [None, 3])
+    def test_step_phases_matches_two_draws(self, chains):
+        for rng, m, n, p, g, _ in self._instances():
+            ph = ch.init_phases(g, m, n, rng)
+            if chains is not None:
+                ph.h_phases = rng.uniform(0, 2 * np.pi, (chains, g.num_cells, m))
+            seed = int(rng.integers(2**32))
+            r1, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = ch.step_phases(ph, p, r1)
+            k = p.phase_drift
+            h = np.mod(ph.h_phases + k * r2.standard_normal(ph.h_phases.shape), 2 * np.pi)
+            G = np.mod(ph.g_phases + k * r2.standard_normal(ph.g_phases.shape), 2 * np.pi)
+            assert np.array_equal(got.h_phases, h) and np.array_equal(got.g_phases, G)
+            assert r1.bit_generator.state == r2.bit_generator.state
+
+    def test_step_shadowing_matches_numpy_sqrt(self):
+        for rng, _, _, p, _, sh in self._instances():
+            sh.ar_coeff = float(rng.uniform(0.0, 1.0))
+            seed = int(rng.integers(2**32))
+            r1, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = ch.step_shadowing(sh, p, r1)
+            rho = sh.ar_coeff
+            scale = np.sqrt(max(0.0, 1.0 - rho * rho))
+            dest = rho * sh.dest_values + scale * (
+                r2.standard_normal(sh.dest_values.shape) @ sh.spatial_chol.T)
+            src = rho * sh.src_irs_value + scale * np.sqrt(p.shadow_power) * \
+                r2.standard_normal(np.shape(sh.src_irs_value))
+            assert np.array_equal(got.dest_values, dest)
+            assert np.array_equal(got.src_irs_value, src)
+
+
 class TestValidation:
     def test_params_invariants(self):
         with pytest.raises(ValueError):

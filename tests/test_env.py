@@ -42,6 +42,23 @@ class TestApplyAction:
         with pytest.raises(ValueError):
             apply_action(np.zeros(3), np.zeros(2))
 
+    def test_matches_np_clip(self):
+        # the ufunc clamp against the np.clip it replaced: the +-pi edges,
+        # -0.0, and NaN passing through
+        rng = np.random.default_rng(8)
+        edges = np.array([np.pi, -np.pi, np.nextafter(np.pi, 4.0),
+                          np.nextafter(-np.pi, -4.0), 0.0, -0.0, np.nan])
+        for _ in range(200):
+            m = int(rng.integers(1, 25))
+            prev = np.where(rng.random(m) < 0.3, rng.choice(edges, m),
+                            rng.uniform(-np.pi, np.pi, m))
+            delta = np.where(rng.random(m) < 0.3, rng.choice(edges, m),
+                             rng.uniform(-7.0, 7.0, m))
+            got = apply_action(prev, delta)
+            want = np.clip(prev + delta, -np.pi, np.pi)
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
 
 class TestMoveDestination:
     def test_single_cell_stays(self):
@@ -294,6 +311,16 @@ class TestStep:
         env.reset()
         with pytest.raises(ValueError):
             env.step(np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_action_rejected(self, bad):
+        _, env = make_env(m=4, n=1)
+        env.reset()
+        env.step(np.zeros(4))
+        theta, t = env.theta.copy(), env.t
+        with pytest.raises(ValueError, match="action must be finite"):
+            env.step(np.array([0.1, bad, 0.0, 0.0]))
+        assert np.array_equal(env.theta, theta) and env.t == t
 
     def test_state_length_constant(self):
         cfg, env = make_env(m=3, n=2, w=4)

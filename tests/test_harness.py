@@ -262,6 +262,16 @@ class TestPlot:
         root = ET.parse(out).getroot()
         assert root.tag.endswith("svg")
 
+    def test_labels_escaped(self, tmp_path):
+        m = tmp_path / "m.csv"
+        self._write_metrics(m, [1.0])
+        out = tmp_path / "plot.svg"
+        plotting.plot_curves([m], out, labels=["a<b & c>\"d'"], x_label="x<y")
+        svg = out.read_text(encoding="utf-8")
+        assert ">a&lt;b &amp; c&gt;\"d'</text>" in svg
+        assert ">x&lt;y</text>" in svg
+        ET.parse(out)
+
     def test_rejects_empty_csv(self, tmp_path):
         p = tmp_path / "empty.csv"
         p.write_text(harness.METRICS_HEADER + "\n")
@@ -309,10 +319,17 @@ class TestCli:
 
     def test_wrong_type_exit_code(self, tmp_path):
         p = tmp_path / "bad.json"
-        p.write_text(json.dumps({"persistent_channel": "no"}))
+        p.write_text(json.dumps({"m": 2.5}))
         r = self._run("train", "--config", str(p))
         assert r.returncode == 2
-        assert "persistent_channel" in r.stderr
+        assert "m must be int" in r.stderr
+
+    def test_import_leaves_network_stack_unloaded(self):
+        code = ("import sys, irsrl.harness, irsrl.cli; print(sorted(m for m in "
+                "('ssl', 'http.client', 'urllib.request') if m in sys.modules))")
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == "[]"
 
     def test_negative_seed_exit_code(self, tmp_path):
         p = tmp_path / "cfg.json"

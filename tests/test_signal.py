@@ -115,11 +115,21 @@ class TestSnrDb:
     def test_values(self, lin, db):
         assert sig.snr_db(lin) == pytest.approx(db, abs=1e-4)
 
-    def test_rejects_nonpositive(self):
+    @pytest.mark.parametrize("bad", [0.0, -3.0, np.float64(-1.0), -np.inf,
+                                     np.array(0.0), np.array([2.0, -1.0])])
+    def test_rejects_nonpositive(self, bad):
         with pytest.raises(ValueError):
-            sig.snr_db(0.0)
-        with pytest.raises(ValueError):
-            sig.snr_db(-3.0)
+            sig.snr_db(bad)
+
+    def test_nan_passes_through(self):
+        assert np.isnan(sig.snr_db(float("nan")))
+        assert np.isnan(sig.snr_db(np.float64("nan")))
+        out = sig.snr_db(np.array([np.nan, 10.0]))
+        assert np.isnan(out[0]) and out[1] == 10.0
+
+    def test_float_path_matches_array_path(self):
+        for x in np.random.default_rng(5).lognormal(0.0, 8.0, 200):
+            assert sig.snr_db(float(x)) == sig.snr_db(np.array([x]))[0]
 
 
 class TestPhaseOracle:
@@ -184,6 +194,30 @@ class TestUpperBound:
             assert sig.snr(h, theta, G, 1.0, 1.0) <= sig.snr_upper_bound(
                 h, G, 1.0, 1.0
             ) * (1 + 1e-12)
+
+
+class TestNormFormulaBits:
+    """snr and snr_upper_bound against the np.linalg.norm calls they inline."""
+
+    @staticmethod
+    def _instances(n_instances=150):
+        rng = np.random.default_rng(21)
+        for _ in range(n_instances):
+            m, n = int(rng.integers(1, 25)), int(rng.integers(1, 7))
+            h, G = random_instance(rng, m, n)
+            scale = 10.0 ** rng.uniform(-6, 3)
+            yield (h * scale, rng.uniform(-np.pi, np.pi, m), G,
+                   float(10.0 ** rng.uniform(-2, 7)), float(rng.uniform(0.01, 5.0)))
+
+    def test_snr_matches_linalg_norm(self):
+        for h, theta, G, p, s2 in self._instances():
+            c = sig.composite_channel(h, theta, G)
+            assert sig.snr(h, theta, G, p, s2) == float(p * np.linalg.norm(c) ** 2 / s2)
+
+    def test_upper_bound_matches_linalg_norm(self):
+        for h, _, G, p, s2 in self._instances():
+            s = np.sum(np.abs(h) * np.linalg.norm(G, axis=1))
+            assert sig.snr_upper_bound(h, G, p, s2) == float(p * s**2 / s2)
 
 
 class TestExhaustiveSearch:
