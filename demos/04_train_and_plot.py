@@ -29,8 +29,8 @@ OVERRIDES = {
 def main():
     paths = {}
     for variant in ("base", "ff"):
-        cfg = cfgmod.resolve({**OVERRIDES}, use_env=False)
-        manifest = harness.run_experiment(cfg, variant)
+        cfg = cfgmod.resolve({**OVERRIDES, "variant": variant}, use_env=False)
+        manifest = harness.run_experiment(cfg)
         paths[variant] = manifest["metrics"]
         perf = harness.final_performance(manifest["metrics"], last=5)
         print(f"{variant:4s}: final-5-episode mean SNR {perf:.2f} dB "

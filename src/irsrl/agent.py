@@ -10,12 +10,12 @@ one shared random Fourier kernel before the critic MLPs.
 
 The twin critics meet only at the two minima, so each learner step splits
 into one half per critic: critic1's half runs on the calling thread and
-critic2's on one worker thread, started on first use, and the two join where
-the math needs both (``_twin``).  The halves run the same array operations as
-one thread would, so results are byte-identical either way.  Critics smaller
-than ``TWIN_MIN_PARAMS`` parameters, and processes allowed on one CPU only,
-run both halves on the calling thread, where the hand-off would cost more
-than the second core saves.
+critic2's on a worker thread that ``train`` starts and joins, and the two
+join where the math needs both (``_twin``).  The halves run the same array
+operations as one thread would, so results are byte-identical either way.
+Critics smaller than ``TWIN_MIN_PARAMS`` parameters, and processes allowed on
+one CPU only, run both halves on the calling thread, where the hand-off would
+cost more than the second core saves.
 
 The task is continuing (episodes are time limits only), so the bootstrap is
 never terminal-masked.
@@ -24,7 +24,6 @@ never terminal-masked.
 from __future__ import annotations
 
 import os
-import threading
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -32,7 +31,7 @@ from functools import partial
 import numpy as np
 
 from . import nn
-from .env import IrsEnv, Transition, state_dim
+from .env import IrsEnv, state_dim
 
 CRITIC_INPUTS = ("raw", "fourier")
 # Critics with fewer parameters update both halves on the calling thread: the
@@ -51,7 +50,7 @@ class AgentConfig:
     lr: float = 2e-4                # actor and critics
     hidden: int = 400
     n_hidden_layers: int = 3
-    buffer_capacity: int = 1_000_000
+    buffer: int = 1_000_000         # replay capacity
     expl_sigma0: float = 0.1 * np.pi
     expl_decay: float = 0.999       # per episode
     warmup_steps: int = 1000        # uniform-random action steps
@@ -68,13 +67,12 @@ class AgentConfig:
             raise ValueError(f"tau must be in (0, 1], got {self.tau!r}")
         if not 0.0 < self.expl_decay <= 1.0:
             raise ValueError(f"expl_decay must be in (0, 1], got {self.expl_decay!r}")
-        for name in ("batch", "hidden", "n_hidden_layers", "buffer_capacity",
-                     "k_fourier"):
+        for name in ("batch", "hidden", "n_hidden_layers", "buffer", "k_fourier"):
             if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
-        if not self.buffer_capacity >= self.batch:  # else no update ever runs
-            raise ValueError(f"buffer_capacity must be >= batch ({self.batch}), "
-                             f"got {self.buffer_capacity!r}")
+        if not self.buffer >= self.batch:  # else no update ever runs
+            raise ValueError(f"buffer must be >= batch ({self.batch}), "
+                             f"got {self.buffer!r}")
         for name in ("lr", "sigma_b2", "reward_scale"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
@@ -101,12 +99,13 @@ class ReplayBuffer:
     def size(self) -> int:
         return min(self.count, self.capacity)
 
-    def push(self, tr: Transition) -> None:
+    def push(self, state: np.ndarray, action: np.ndarray, reward: float,
+             next_state: np.ndarray) -> None:
         i = self.count % self.capacity
-        self.states[i] = tr.state
-        self.actions[i] = tr.action
-        self.rewards[i] = tr.reward
-        self.next_states[i] = tr.next_state
+        self.states[i] = state
+        self.actions[i] = action
+        self.rewards[i] = reward
+        self.next_states[i] = next_state
         self.count += 1
 
     def sample(self, n: int, rng: np.random.Generator):
@@ -176,31 +175,6 @@ def _critic_q(critic: nn.MLP, x: np.ndarray, fcache):
     return q[..., 0], (cache, fcache)
 
 
-_pool = None                 # the twin-critic worker, started on first use
-_pool_lock = threading.Lock()
-
-
-def _forget_worker() -> None:
-    """A forked child has no worker thread: start a fresh one on demand."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_worker)
-
-
-def _worker():
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            # imported on first use: the import takes about 5 ms, which runs
-            # that never start the worker (desk) should not pay at start-up
-            from concurrent.futures import ThreadPoolExecutor
-            _pool = ThreadPoolExecutor(1, thread_name_prefix="irsrl-twin-critic")
-        return _pool
-
-
 def _cpus() -> int:
     """How many CPUs this process may run on."""
     try:
@@ -209,19 +183,17 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _twin(f, args1, args2):
-    """(f(*args1), f(*args2)): one half of a twin-critic step per critic,
-    where args1[0] and args2[0] are the critics (or their targets).
+def _twin(pool, f, args1, args2):
+    """(f(*args1), f(*args2)): one half of a twin-critic step per critic.
 
-    The second half runs on the worker thread while this thread runs the
-    first, if the critics have at least TWIN_MIN_PARAMS parameters and the
-    process may use more than one CPU; otherwise the halves run here, in
-    order.  An exception from either half is raised only after
-    both halves have finished, the first half's if both raise.
+    With a one-thread ``pool`` the second half runs on its worker while this
+    thread runs the first; with None the halves run here, in order.  An
+    exception from either half is raised only after both halves have
+    finished, the first half's if both raise.
     """
-    if args1[0].params.size < TWIN_MIN_PARAMS or _cpus() < 2:
+    if pool is None:
         return f(*args1), f(*args2)
-    second = _worker().submit(f, *args2)
+    second = pool.submit(f, *args2)
     try:
         first = f(*args1)
     except BaseException:
@@ -244,12 +216,12 @@ def select_action(nets: AgentNets, state: np.ndarray, sigma: float,
 
 
 def critic_target(nets: AgentNets, rewards: np.ndarray, next_states: np.ndarray,
-                  gamma: float) -> np.ndarray:
+                  gamma: float, pool=None) -> np.ndarray:
     """The shared clipped target r + gamma * min(Q'_1, Q'_2)(s', pi'(s')) that
     both critics regress toward; no terminal masking (continuing task)."""
     a_next, _ = nets.target_actor.forward(next_states)
     x, fcache = nets.critic_input(next_states, a_next)
-    (q1, _), (q2, _) = _twin(_critic_q, (nets.target_critic1, x, fcache),
+    (q1, _), (q2, _) = _twin(pool, _critic_q, (nets.target_critic1, x, fcache),
                              (nets.target_critic2, x, fcache))
     y = rewards + gamma * np.minimum(q1, q2)
     if not np.all(np.isfinite(y)):
@@ -272,17 +244,17 @@ def _critic_step(critic: nn.MLP, opt: nn.Adam, x: np.ndarray,
 
 
 def update_critics(nets: AgentNets, batch, opts: tuple[nn.Adam, nn.Adam],
-                   gamma: float) -> tuple[float, float]:
+                   gamma: float, pool=None) -> tuple[float, float]:
     """One Adam step per critic on the mean squared Bellman error."""
     s, a, r, s2 = batch
-    y = critic_target(nets, r, s2, gamma)
+    y = critic_target(nets, r, s2, gamma, pool)
     x, _ = nets.critic_input(s, a)
-    return _twin(_critic_step, (nets.critic1, opts[0], x, y),
+    return _twin(pool, _critic_step, (nets.critic1, opts[0], x, y),
                  (nets.critic2, opts[1], x, y))
 
 
 def update_actor(nets: AgentNets, states: np.ndarray, opt: nn.Adam,
-                 act_reg: float = 0.0) -> float:
+                 act_reg: float = 0.0, pool=None) -> float:
     """One Adam ascent step on mean_batch min(Q1, Q2)(s, pi(s)) - act_reg * ||pi(s)||^2.
 
     The gradient flows through the action slice of the critic input (and the
@@ -291,14 +263,14 @@ def update_actor(nets: AgentNets, states: np.ndarray, opt: nn.Adam,
     """
     a, acache = nets.actor.forward(states)
     x, fcache = nets.critic_input(states, a)
-    (q1, c1), (q2, c2) = _twin(_critic_q, (nets.critic1, x, fcache),
+    (q1, c1), (q2, c2) = _twin(pool, _critic_q, (nets.critic1, x, fcache),
                                (nets.critic2, x, fcache))
     objective = float(np.mean(np.minimum(q1, q2)))
     if not np.isfinite(objective):
         raise nn.NonFiniteError("non-finite actor objective")
     b = states.shape[0]
     pick1 = (q1 <= q2).astype(np.float32)
-    (_, gin1), (_, gin2) = _twin(partial(nets.critic_backward, params=False),
+    (_, gin1), (_, gin2) = _twin(pool, partial(nets.critic_backward, params=False),
                                  (nets.critic1, c1, pick1 / b),
                                  (nets.critic2, c2, (1.0 - pick1) / b))
     d = states.shape[1]
@@ -319,11 +291,11 @@ def _polyak_half(target_critic: nn.MLP, critic: nn.MLP, target_actor: nn.MLP,
     nn.polyak_update(target_actor, actor, tau, actor_part)
 
 
-def polyak_all(nets: AgentNets, tau: float) -> None:
+def polyak_all(nets: AgentNets, tau: float, pool=None) -> None:
     """Polyak-average every target network; each half takes one critic and
     half of the actor, so that the two threads carry the same load."""
     half = nets.actor.params.size // 2
-    _twin(_polyak_half,
+    _twin(pool, _polyak_half,
           (nets.target_critic1, nets.critic1, nets.target_actor, nets.actor,
            slice(None, half), tau),
           (nets.target_critic2, nets.critic2, nets.target_actor, nets.actor,
@@ -380,53 +352,61 @@ def train(env: IrsEnv, cfg: AgentConfig, episodes: int,
     nets = AgentNets.init(sdim, m, cfg, streams["init"], streams["fourier"])
     opts = (nn.Adam.for_mlp(nets.critic1, cfg.lr), nn.Adam.for_mlp(nets.critic2, cfg.lr))
     actor_opt = nn.Adam.for_mlp(nets.actor, cfg.lr)
-    buffer = ReplayBuffer(cfg.buffer_capacity, sdim, m)
+    buffer = ReplayBuffer(cfg.buffer, sdim, m)
 
     stats = TrainStats()
     sigma = cfg.expl_sigma0
     global_step = 0
     last_good = nets.copy()
 
-    for ep in range(episodes):
-        t0 = time.perf_counter()
-        state = env.reset()
-        rewards, closses, aobjs = [], [], []
-        try:
-            for _ in range(env.cfg.episode_len):
-                warmup = global_step < cfg.warmup_steps
-                action = select_action(nets, state, sigma, m,
-                                       streams["exploration"], warmup=warmup)
-                next_state, reward = env.step(action)
-                rewards.append(env.prev_reward_db)
-                buffer.push(Transition(state, action, cfg.reward_scale * reward,
-                                       next_state))
-                state = next_state
-                global_step += 1
-                if not warmup and buffer.size >= cfg.batch:
-                    batch = buffer.sample(cfg.batch, streams["sample"])
-                    l1, l2 = update_critics(nets, batch, opts, cfg.gamma)
-                    aobj = update_actor(nets, batch[0], actor_opt, cfg.act_reg)
-                    polyak_all(nets, cfg.tau)
-                    closses.append(0.5 * (l1 + l2))
-                    aobjs.append(aobj)
-        except nn.NonFiniteError as e:
-            stats.diverged = True
-            stats.divergence_note = f"episode {ep}: {e}"
+    if nets.critic1.params.size >= TWIN_MIN_PARAMS and _cpus() >= 2:
+        # imported here: the import takes about 5 ms, which runs that never
+        # start the worker (desk) should not pay
+        from concurrent.futures import ThreadPoolExecutor
+        worker = ThreadPoolExecutor(1, thread_name_prefix="irsrl-twin-critic")
+    else:
+        from contextlib import nullcontext
+        worker = nullcontext()  # enters as pool=None: both halves run here
+    with worker as pool:
+        for ep in range(episodes):
+            t0 = time.perf_counter()
+            state = env.reset()
+            rewards, closses, aobjs = [], [], []
+            try:
+                for _ in range(env.cfg.episode_len):
+                    warmup = global_step < cfg.warmup_steps
+                    action = select_action(nets, state, sigma, m,
+                                           streams["exploration"], warmup=warmup)
+                    next_state, reward = env.step(action)
+                    rewards.append(env.prev_reward_db)
+                    buffer.push(state, action, cfg.reward_scale * reward, next_state)
+                    state = next_state
+                    global_step += 1
+                    if not warmup and buffer.size >= cfg.batch:
+                        batch = buffer.sample(cfg.batch, streams["sample"])
+                        l1, l2 = update_critics(nets, batch, opts, cfg.gamma, pool)
+                        aobj = update_actor(nets, batch[0], actor_opt, cfg.act_reg,
+                                            pool)
+                        polyak_all(nets, cfg.tau, pool)
+                        closses.append(0.5 * (l1 + l2))
+                        aobjs.append(aobj)
+            except nn.NonFiniteError as e:
+                stats.diverged = True
+                stats.divergence_note = f"episode {ep}: {e}"
+                stats.rows.append(EpisodeStats(
+                    episode=ep, mean_reward_db=float("nan"),
+                    critic_loss=float("nan"), actor_objective=float("nan"),
+                    sigma=sigma, wall_s=time.perf_counter() - t0))
+                return stats, last_good
+
             stats.rows.append(EpisodeStats(
-                episode=ep, mean_reward_db=float("nan"),
-                critic_loss=float("nan"), actor_objective=float("nan"),
-                sigma=sigma, wall_s=time.perf_counter() - t0))
-            return stats, last_good
-
-        stats.rows.append(EpisodeStats(
-            episode=ep,
-            mean_reward_db=float(np.mean(rewards)),
-            critic_loss=float(np.mean(closses)) if closses else float("nan"),
-            actor_objective=float(np.mean(aobjs)) if aobjs else float("nan"),
-            sigma=sigma,
-            wall_s=time.perf_counter() - t0,
-        ))
-        sigma *= cfg.expl_decay
-        last_good = nets.copy()
-
+                episode=ep,
+                mean_reward_db=float(np.mean(rewards)),
+                critic_loss=float(np.mean(closses)) if closses else float("nan"),
+                actor_objective=float(np.mean(aobjs)) if aobjs else float("nan"),
+                sigma=sigma,
+                wall_s=time.perf_counter() - t0,
+            ))
+            sigma *= cfg.expl_decay
+            last_good = nets.copy()
     return stats, nets

@@ -157,11 +157,7 @@ def resolve(overrides: dict, use_env: bool = True) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
 
-    merged: dict = {}
-    if overrides.get("preset", "desk") == "paper":
-        merged.update(_PAPER_OVERRIDES)
-    merged.update(overrides)
-
+    merged = dict(overrides)
     if use_env:
         for key in _HINTS:
             raw = os.environ.get(ENV_PREFIX + key.upper())
@@ -174,6 +170,10 @@ def resolve(overrides: dict, use_env: bool = True) -> ExperimentConfig:
                     value = raw  # a string key keeps "123" as text
                 merged[key] = value
 
+    # the preset block sits under both override layers, so it is chosen by
+    # their merged "preset" value
+    if merged.get("preset", "desk") == "paper":
+        merged = {**_PAPER_OVERRIDES, **merged}
     try:
         cfg = ExperimentConfig(**merged)
         env_config(cfg)
@@ -215,20 +215,15 @@ def _from_fields(target, cfg: ExperimentConfig, **explicit):
     return target(**{**shared, **explicit})
 
 
-def env_config(cfg: ExperimentConfig, variant: str | None = None) -> EnvConfig:
-    variant = variant or cfg.variant
+def env_config(cfg: ExperimentConfig) -> EnvConfig:
     return _from_fields(
         EnvConfig, cfg,
-        variant="snr_state" if variant == "snr-state" else "base",
+        snr_in_state=cfg.variant == "snr-state",
         params=_from_fields(ChannelParams, cfg),
         geometry=_from_fields(Geometry, cfg),
     )
 
 
-def agent_config(cfg: ExperimentConfig, variant: str | None = None) -> AgentConfig:
-    variant = variant or cfg.variant
-    return _from_fields(
-        AgentConfig, cfg,
-        buffer_capacity=cfg.buffer,
-        critic_input="fourier" if variant == "ff" else "raw",
-    )
+def agent_config(cfg: ExperimentConfig) -> AgentConfig:
+    return _from_fields(AgentConfig, cfg,
+                        critic_input="fourier" if cfg.variant == "ff" else "raw")

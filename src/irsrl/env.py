@@ -5,8 +5,8 @@ State: current destination position followed by a window of W past
 Action: per-element phase deltas in [-pi, pi]; the resulting phases are
 clamped (saturated, not wrapped) to [-pi, pi].  Reward: the slot SNR in dB.
 
-The "snr_state" variant appends the previous slot's reward (dB, scaled by
-1/100) as a trailing state component.
+With ``snr_in_state`` (the "snr-state" variant) the state ends with the
+previous slot's reward (dB, scaled by 1/100).
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ import numpy as np
 from . import channel as ch
 from . import signal as sig
 
-VARIANTS = ("base", "snr_state")
-
 
 @dataclass
 class EnvConfig:
@@ -27,7 +25,7 @@ class EnvConfig:
     n: int = 5                        # source antennas
     w: int = 5                        # state window length
     episode_len: int = 300
-    variant: str = "base"
+    snr_in_state: bool = False
     params: ch.ChannelParams = field(default_factory=ch.ChannelParams)
     geometry: ch.Geometry = field(default_factory=ch.Geometry)
 
@@ -35,14 +33,11 @@ class EnvConfig:
         for name in ("m", "n", "w", "episode_len"):
             if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
 
 
 def state_dim(config: EnvConfig) -> int:
-    """base: 3 + W (3 + M); snr_state adds one trailing component."""
-    d = 3 + config.w * (3 + config.m)
-    return d + 1 if config.variant == "snr_state" else d
+    """3 + W (3 + M), plus one trailing component with snr_in_state."""
+    return 3 + config.w * (3 + config.m) + config.snr_in_state
 
 
 def apply_action(theta_prev: np.ndarray, delta_theta: np.ndarray) -> np.ndarray:
@@ -60,14 +55,6 @@ def move_destination(
     """Uniform choice among the current cell and its edge-adjacent cells."""
     options = geometry.moves[cell_index]
     return int(options[rng.integers(len(options))])
-
-
-@dataclass
-class Transition:
-    state: np.ndarray
-    action: np.ndarray
-    reward: float
-    next_state: np.ndarray
 
 
 class IrsEnv:
@@ -99,7 +86,7 @@ class IrsEnv:
     def _assemble_state(self) -> np.ndarray:
         s = self._state
         s[:3] = self.cfg.geometry.norm_pos[self.cell]
-        if self.cfg.variant == "snr_state":
+        if self.cfg.snr_in_state:
             s[-1] = self.prev_reward_db / 100.0
         return s.copy()
 

@@ -26,22 +26,21 @@ def _fmt_row(seed: int, row: agent.EpisodeStats) -> str:
             f"{row.actor_objective!r},{row.sigma!r},{row.wall_s:.3f}")
 
 
-def train_one(cfg: ExperimentConfig, variant: str, seed: int):
-    """Train a single (seed, variant) cell; returns (TrainStats, AgentNets)."""
+def train_one(cfg: ExperimentConfig, seed: int):
+    """Train one seed of cfg.variant; returns (TrainStats, AgentNets)."""
     streams = agent.seed_streams(seed)
-    env = IrsEnv(cfgmod.env_config(cfg, variant), streams["channel"], streams["motion"])
-    return agent.train(env, cfgmod.agent_config(cfg, variant), cfg.episodes, streams)
+    env = IrsEnv(cfgmod.env_config(cfg), streams["channel"], streams["motion"])
+    return agent.train(env, cfgmod.agent_config(cfg), cfg.episodes, streams)
 
 
-def run_experiment(cfg: ExperimentConfig, variant: str | None = None) -> dict:
-    """Run every seed of one variant; writes metrics.csv, checkpoints, manifest.
+def run_experiment(cfg: ExperimentConfig) -> dict:
+    """Run every seed of cfg.variant; writes metrics.csv, checkpoints, manifest.
 
     Per-seed failures are recorded in the manifest (status under "seeds", the
     traceback under "tracebacks"); raises RunError only when every seed fails.
     Returns the manifest dict.
     """
-    variant = variant or cfg.variant
-    out = os.path.join(cfg.out_dir, variant)
+    out = os.path.join(cfg.out_dir, cfg.variant)
     os.makedirs(out, exist_ok=True)
 
     lines = [METRICS_HEADER]
@@ -50,7 +49,7 @@ def run_experiment(cfg: ExperimentConfig, variant: str | None = None) -> dict:
     any_ok = False
     for seed in cfg.seeds:
         try:
-            stats, nets = train_one(cfg, variant, seed)
+            stats, nets = train_one(cfg, seed)
         except Exception as e:  # noqa: BLE001 - per-seed isolation
             seed_status[str(seed)] = f"failed: {e}"
             tracebacks[str(seed)] = traceback.format_exc()
@@ -70,7 +69,7 @@ def run_experiment(cfg: ExperimentConfig, variant: str | None = None) -> dict:
 
     manifest = {
         "version": __version__,
-        "variant": variant,
+        "variant": cfg.variant,
         "config": cfgmod.to_dict(cfg),
         "seeds": seed_status,
         "tracebacks": tracebacks,
@@ -81,7 +80,7 @@ def run_experiment(cfg: ExperimentConfig, variant: str | None = None) -> dict:
         f.write("\n")
 
     if not any_ok:
-        raise RunError(f"all seeds failed for variant {variant}: {seed_status}")
+        raise RunError(f"all seeds failed for variant {cfg.variant}: {seed_status}")
     return manifest
 
 
@@ -120,15 +119,10 @@ def compare_variants(cfg: ExperimentConfig, sweep: str,
     results = []
     metric_paths, labels = [], []
     for v in values:
-        if sweep == "variant":
-            sub, variant = cfg, str(v)
-            label = variant
-        else:
-            sub = replace(cfg, **{key: v})
-            variant = cfg.variant
-            label = f"{key}={v}"
-        sub = replace(sub, out_dir=os.path.join(cfg.out_dir, f"{sweep}_{label}"))
-        manifest = run_experiment(sub, variant)
+        label = str(v) if sweep == "variant" else f"{key}={v}"
+        sub = replace(cfg, **{key: v},
+                      out_dir=os.path.join(cfg.out_dir, f"{sweep}_{label}"))
+        manifest = run_experiment(sub)
         perf = final_performance(manifest["metrics"])
         results.append({"setting": label, "final_snr_db": perf,
                         "metrics": manifest["metrics"]})

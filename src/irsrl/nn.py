@@ -196,11 +196,11 @@ class Adam:
     def for_mlp(cls, mlp: MLP, lr: float) -> "Adam":
         return cls(lr=lr, m=np.zeros_like(mlp.params), v=np.zeros_like(mlp.params))
 
-    def step(self, mlp: MLP, grads) -> None:
+    def step(self, mlp: MLP, grads: Grads) -> None:
         """One in-place descent step; raises NonFiniteError on bad gradients.
         The in-place ufuncs keep the float order of the per-tensor formula
         params -= lr * (m / c1) / (sqrt(v / c2) + eps), so results are exact."""
-        g = grads.flat if isinstance(grads, Grads) else _flatten(*grads)
+        g = grads.flat
         if not np.isfinite(g).all():
             raise NonFiniteError("non-finite gradient in Adam step")
         self.t += 1

@@ -198,11 +198,12 @@ def test_criterion_5_sanity_convergence():
     hits = 0
     details = []
     for seed in (0, 1, 2):
-        cfg = cfgmod.resolve({**SANITY, "seeds": [seed]}, use_env=False)
-        stats, _ = harness.train_one(cfg, "base", seed)
+        cfg = cfgmod.resolve({**SANITY, "variant": "base", "seeds": [seed]},
+                             use_env=False)
+        stats, _ = harness.train_one(cfg, seed)
         final = np.mean([r.mean_reward_db for r in stats.rows[-10:]])
         # closed-form optimum on the same frozen channel realization
-        env_cfg = cfgmod.env_config(cfg, "base")
+        env_cfg = cfgmod.env_config(cfg)
         streams = ag.seed_streams(seed)
         env = IrsEnv(env_cfg, streams["channel"], streams["motion"])
         env.reset()
@@ -225,9 +226,9 @@ def test_criterion_5_sanity_convergence():
 def _desk_final(variant: str, seeds=(0, 1, 2), **overrides) -> float:
     finals = []
     for seed in seeds:
-        cfg = cfgmod.resolve({"preset": "desk", "seeds": [seed], **overrides},
-                             use_env=False)
-        stats, _ = harness.train_one(cfg, variant, seed)
+        cfg = cfgmod.resolve({"preset": "desk", "variant": variant, "seeds": [seed],
+                              **overrides}, use_env=False)
+        stats, _ = harness.train_one(cfg, seed)
         finals.append(np.mean([r.mean_reward_db for r in stats.rows[-10:]]))
     return float(np.mean(finals))
 
@@ -251,9 +252,10 @@ def test_criterion_7_window_ablation():
 
 @pytest.mark.slow
 def test_criterion_8_snr_state_report(tmp_path):
-    cfg = cfgmod.resolve({"preset": "desk", "seeds": [0, 1, 2],
-                          "out_dir": str(tmp_path)}, use_env=False)
-    manifest = harness.run_experiment(cfg, "snr-state")
+    cfg = cfgmod.resolve({"preset": "desk", "variant": "snr-state",
+                          "seeds": [0, 1, 2], "out_dir": str(tmp_path)},
+                         use_env=False)
+    manifest = harness.run_experiment(cfg)
     # empirical finding: the run must complete and emit divergence statistics;
     # no pass/fail threshold on the outcome itself
     rows = read_metrics(manifest["metrics"])
@@ -274,12 +276,13 @@ def test_criterion_8_snr_state_report(tmp_path):
 def test_criterion_9_determinism(tmp_path):
     tiny = {"preset": "desk", "episodes": 3, "episode_len": 30, "m": 3, "n": 2,
             "w": 2, "hidden": 16, "n_hidden_layers": 2, "k_fourier": 8,
-            "warmup_steps": 10, "batch": 8, "buffer": 500, "seeds": [0]}
+            "warmup_steps": 10, "batch": 8, "buffer": 500, "seeds": [0],
+            "variant": "ff"}
     outputs = []
     for sub in ("a", "b"):
         cfg = cfgmod.resolve({**tiny, "out_dir": str(tmp_path / sub)},
                              use_env=False)
-        harness.run_experiment(cfg, "ff")
+        harness.run_experiment(cfg)
         raw = (tmp_path / sub / "ff" / "metrics.csv").read_text()
         rows = "\n".join(",".join(l.split(",")[:-1]) for l in raw.splitlines())
         ckpt = (tmp_path / sub / "ff" / "seed0.ckpt").read_bytes()

@@ -1,8 +1,6 @@
-import os
-import signal
 import threading
 import time
-import warnings
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,11 +10,11 @@ from irsrl import nn
 from irsrl import agent as ag
 from irsrl.agent import (AgentConfig, AgentNets, ReplayBuffer, critic_target,
                          polyak_all, select_action, update_actor, update_critics)
-from irsrl.env import Transition
+from irsrl.env import EnvConfig, IrsEnv
 
 
 def tiny_cfg(**kwargs):
-    defaults = dict(hidden=16, n_hidden_layers=2, batch=8, buffer_capacity=100,
+    defaults = dict(hidden=16, n_hidden_layers=2, batch=8, buffer=100,
                     warmup_steps=0, k_fourier=8)
     defaults.update(kwargs)
     return AgentConfig(**defaults)
@@ -26,11 +24,6 @@ def make_nets(state_dim=6, action_dim=2, **kwargs):
     cfg = tiny_cfg(**kwargs)
     return cfg, AgentNets.init(state_dim, action_dim, cfg,
                                np.random.default_rng(0), np.random.default_rng(1))
-
-
-def make_transition(rng, sdim, adim):
-    return Transition(rng.standard_normal(sdim), rng.uniform(-np.pi, np.pi, adim),
-                      float(rng.standard_normal()), rng.standard_normal(sdim))
 
 
 def learner_batch(rng, n=8, sdim=6, adim=2):
@@ -44,7 +37,7 @@ class TestReplayBuffer:
     def test_fifo_eviction(self):
         buf = ReplayBuffer(2, 1, 1)
         for r in (1.0, 2.0, 3.0):
-            buf.push(Transition(np.zeros(1), np.zeros(1), r, np.zeros(1)))
+            buf.push(np.zeros(1), np.zeros(1), r, np.zeros(1))
         assert buf.size == 2
         assert sorted(buf.rewards.tolist()) == [2.0, 3.0]
 
@@ -55,14 +48,14 @@ class TestReplayBuffer:
 
     def test_underfilled_raises(self):
         buf = ReplayBuffer(10, 1, 1)
-        buf.push(Transition(np.zeros(1), np.zeros(1), 0.0, np.zeros(1)))
+        buf.push(np.zeros(1), np.zeros(1), 0.0, np.zeros(1))
         with pytest.raises(ValueError):
             buf.sample(2, np.random.default_rng(0))
 
     def test_uniform_sampling(self):
         buf = ReplayBuffer(8, 1, 1)
         for r in range(8):
-            buf.push(Transition(np.zeros(1), np.zeros(1), float(r), np.zeros(1)))
+            buf.push(np.zeros(1), np.zeros(1), float(r), np.zeros(1))
         rng = np.random.default_rng(1)
         counts = np.zeros(8)
         for _ in range(200):
@@ -208,8 +201,6 @@ class TestUpdateActor:
         rng = np.random.default_rng(11)
 
         class QuadCritic:
-            params = np.zeros(0)  # below TWIN_MIN_PARAMS: the serial path
-
             def forward(self, x):
                 a = x[:, sdim:]
                 return -np.sum(a**2, axis=1, keepdims=True), ("quad", x)
@@ -281,20 +272,15 @@ class TestUpdateActor:
             assert np.array_equal(w_a, w_b)
 
 
-def force_threads(monkeypatch):
-    """Run critic2's halves on the worker thread even for tiny critics and on
-    a one-CPU machine."""
-    monkeypatch.setattr(ag, "TWIN_MIN_PARAMS", 0)
-    monkeypatch.setattr(ag, "_cpus", lambda: 2)
-
-
 @pytest.fixture
-def threaded(monkeypatch):
-    force_threads(monkeypatch)
+def pool():
+    """A worker like the one ``train`` starts for large critics."""
+    with ThreadPoolExecutor(1, thread_name_prefix="irsrl-twin-critic") as p:
+        yield p
 
 
 class TestTwinThread:
-    def _steps(self, critic_input):
+    def _steps(self, critic_input, pool=None):
         """Targets, losses, objectives and all parameters over four updates,
         and the threads that stepped critic2's optimizer."""
         cfg, nets = make_nets(critic_input=critic_input)
@@ -311,36 +297,35 @@ class TestTwinThread:
         out = []
         for _ in range(4):
             s, a, r, s2 = learner_batch(rng)
-            out.append(critic_target(nets, r, s2, cfg.gamma))
-            out.extend(update_critics(nets, (s, a, r, s2), opts, cfg.gamma))
-            out.append(update_actor(nets, s, actor_opt, act_reg=0.1))
-            polyak_all(nets, 0.1)
+            out.append(critic_target(nets, r, s2, cfg.gamma, pool))
+            out.extend(update_critics(nets, (s, a, r, s2), opts, cfg.gamma, pool))
+            out.append(update_actor(nets, s, actor_opt, 0.1, pool))
+            polyak_all(nets, 0.1, pool)
         out.extend(getattr(nets, name).params.copy() for name in ag.MLP_NAMES)
         return out, threads
 
     @pytest.mark.parametrize("critic_input", ag.CRITIC_INPUTS)
-    def test_threaded_matches_serial(self, critic_input, monkeypatch):
+    def test_threaded_matches_serial(self, critic_input, pool):
         serial, serial_threads = self._steps(critic_input)
-        force_threads(monkeypatch)
-        threaded, threaded_threads = self._steps(critic_input)
+        threaded, threaded_threads = self._steps(critic_input, pool)
         assert serial_threads == {"MainThread"}
         assert threaded_threads == {"irsrl-twin-critic"}
         assert len(serial) == len(threaded)
         for x, y in zip(serial, threaded):
             assert np.array_equal(x, y)
 
-    def test_polyak_all_covers_every_parameter_once(self, threaded):
+    def test_polyak_all_covers_every_parameter_once(self, pool):
         _, nets = make_nets(critic_input="fourier")
         for name in ag.MLP_NAMES[:3]:
             getattr(nets, name).params[:] += 1.0
         ref = nets.copy()
-        polyak_all(nets, 0.3)
+        polyak_all(nets, 0.3, pool)
         for name in ag.MLP_NAMES[3:]:
             nn.polyak_update(getattr(ref, name), getattr(ref, name.removeprefix("target_")), 0.3)
             assert np.array_equal(getattr(nets, name).params, getattr(ref, name).params)
 
     @pytest.mark.parametrize("bad", [1, 2])
-    def test_nonfinite_half_waits_for_other_half(self, bad, threaded):
+    def test_nonfinite_half_waits_for_other_half(self, bad, pool):
         cfg, nets = make_nets()
         getattr(nets, f"critic{bad}").biases[-1][:] = np.nan
         opts = (nn.Adam.for_mlp(nets.critic1, 1e-3), nn.Adam.for_mlp(nets.critic2, 1e-3))
@@ -355,38 +340,42 @@ class TestTwinThread:
         good.step = slow_step
         batch = learner_batch(np.random.default_rng(31))
         with pytest.raises(nn.NonFiniteError, match="critic loss"):
-            update_critics(nets, batch, opts, cfg.gamma)
+            update_critics(nets, batch, opts, cfg.gamma, pool)
         assert finished == [True]
         assert good.t == 1
 
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_forked_child_can_update(self, threaded):
-        cfg, nets = make_nets()
-        opts = (nn.Adam.for_mlp(nets.critic1, 1e-3), nn.Adam.for_mlp(nets.critic2, 1e-3))
-        batch = learner_batch(np.random.default_rng(32))
-        update_critics(nets, batch, opts, cfg.gamma)
-        assert any(t.name.startswith("irsrl-twin-critic") for t in threading.enumerate())
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads
-            pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:
-                update_critics(nets, batch, opts, cfg.gamma)
-                code = 0
-            finally:
-                os._exit(code)
-        deadline = time.monotonic() + 30.0
-        while time.monotonic() < deadline:
-            done, status = os.waitpid(pid, os.WNOHANG)
-            if done:
-                break
-            time.sleep(0.01)
-        else:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            pytest.fail("the forked child's update did not finish in 30 s")
-        assert os.waitstatus_to_exitcode(status) == 0
+
+class TestTrain:
+    def _train(self):
+        """Per-episode rows (without wall time) and final tensors of a short
+        run with learner updates in both episodes."""
+        env_cfg = EnvConfig(m=2, n=1, w=2, episode_len=30)
+        streams = ag.seed_streams(4)
+        env = IrsEnv(env_cfg, streams["channel"], streams["motion"])
+        stats, nets = ag.train(env, tiny_cfg(critic_input="fourier"), 2, streams)
+        rows = [(r.mean_reward_db, r.critic_loss, r.actor_objective, r.sigma)
+                for r in stats.rows]
+        return rows, ag.checkpoint_tensors(nets)
+
+    def test_twin_worker_matches_serial_and_is_joined(self, monkeypatch):
+        serial_rows, serial_tensors = self._train()
+        monkeypatch.setattr(ag, "TWIN_MIN_PARAMS", 0)
+        monkeypatch.setattr(ag, "_cpus", lambda: 2)
+        threads = set()
+
+        def critic_step(*args, step=ag._critic_step):
+            threads.add(threading.current_thread().name.split("_")[0])
+            return step(*args)
+
+        monkeypatch.setattr(ag, "_critic_step", critic_step)
+        rows, tensors = self._train()
+        assert threads == {"MainThread", "irsrl-twin-critic"}
+        assert not [t for t in threading.enumerate()
+                    if t.name.startswith("irsrl-twin-critic")]
+        assert np.isfinite(rows).all() and rows == serial_rows
+        assert tensors.keys() == serial_tensors.keys()
+        for name, t in tensors.items():
+            assert t.tobytes() == serial_tensors[name].tobytes()
 
 
 class TestFourierSharing:

@@ -23,7 +23,7 @@ class TestStateDim:
         assert state_dim(EnvConfig(m=1, n=1, w=1)) == 7
 
     def test_snr_state_adds_one(self):
-        assert state_dim(EnvConfig(m=20, n=5, w=5, variant="snr_state")) == 119
+        assert state_dim(EnvConfig(m=20, n=5, w=5, snr_in_state=True)) == 119
 
 
 class TestApplyAction:
@@ -136,7 +136,7 @@ def reference_episodes(cfg, seed, actions, episodes):
         parts = [g.dest_cells[cell] / g.cube_side]
         for c, th in window:
             parts += [g.dest_cells[c] / g.cube_side, th]
-        if cfg.variant == "snr_state":
+        if cfg.snr_in_state:
             parts.append(np.array([prev_db / 100.0]))
         return np.concatenate(parts)
 
@@ -221,7 +221,7 @@ class TestReset:
         assert np.all(s[:3] >= 0.0) and np.all(s[:3] <= 1.0)
 
     def test_snr_state_padding_uses_initial_snr(self):
-        cfg, env = make_env(m=2, n=1, variant="snr_state")
+        cfg, env = make_env(m=2, n=1, snr_in_state=True)
         s = env.reset()
         assert s[-1] == pytest.approx(env.prev_reward_db / 100.0)
 
@@ -289,7 +289,7 @@ class TestStep:
         assert np.allclose(rewards, rewards[0], atol=1e-6)
 
     def test_snr_state_trailing_component(self):
-        cfg, env = make_env(m=2, n=1, variant="snr_state")
+        cfg, env = make_env(m=2, n=1, snr_in_state=True)
         env.reset()
         rng = np.random.default_rng(6)
         prev_reward = None

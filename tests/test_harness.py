@@ -70,8 +70,7 @@ class TestConfig:
         ("seeds", [-1]), ("seeds", [0, 0]),
     ])
     def test_rejects_out_of_range(self, key, value):
-        # the key must appear as a word of its own or as the stem of the
-        # component field it feeds (buffer -> buffer_capacity)
+        # the key must appear as a word of its own
         with pytest.raises(ConfigError, match=rf"(?<![a-z_]){key}(?![a-z])"):
             resolve({key: value}, use_env=False)
 
@@ -141,6 +140,15 @@ class TestConfig:
         monkeypatch.setenv("IRSRL_GAMMA", "0.5")
         assert load_config(p).gamma == 0.5
 
+    def test_env_preset_selects_paper_values(self, monkeypatch):
+        monkeypatch.setenv("IRSRL_PRESET", "paper")
+        monkeypatch.setenv("IRSRL_LR", "1e-3")  # a later layer still wins
+        cfg = resolve({"episodes": 2})
+        paper = resolve({"preset": "paper"}, use_env=False)
+        assert (cfg.preset, cfg.m, cfg.hidden, cfg.phase_drift) == (
+            "paper", paper.m, paper.hidden, paper.phase_drift)
+        assert (cfg.episodes, cfg.lr) == (2, 1e-3)
+
     def test_env_override_validated(self, tmp_path, monkeypatch):
         p = tmp_path / "cfg.json"
         p.write_text("{}")
@@ -151,8 +159,9 @@ class TestConfig:
 
 class TestRunExperiment:
     def test_row_accounting_and_files(self, tmp_path):
-        cfg = resolve({**TINY, "out_dir": str(tmp_path)}, use_env=False)
-        manifest = harness.run_experiment(cfg, "base")
+        cfg = resolve({**TINY, "variant": "base", "out_dir": str(tmp_path)},
+                      use_env=False)
+        manifest = harness.run_experiment(cfg)
         lines = (tmp_path / "base" / "metrics.csv").read_text().splitlines()
         assert lines[0] == harness.METRICS_HEADER
         assert len(lines) == 1 + 2 * 3  # seeds x episodes
@@ -163,8 +172,9 @@ class TestRunExperiment:
     def test_deterministic_rerun(self, tmp_path):
         texts = []
         for sub in ("a", "b"):
-            cfg = resolve({**TINY, "out_dir": str(tmp_path / sub)}, use_env=False)
-            harness.run_experiment(cfg, "ff")
+            cfg = resolve({**TINY, "variant": "ff", "out_dir": str(tmp_path / sub)},
+                          use_env=False)
+            harness.run_experiment(cfg)
             raw = (tmp_path / sub / "ff" / "metrics.csv").read_text()
             # strip the wallclock column before comparing
             rows = [",".join(line.split(",")[:-1]) for line in raw.splitlines()]
@@ -174,9 +184,9 @@ class TestRunExperiment:
     def test_deterministic_checkpoints(self, tmp_path):
         blobs = []
         for sub in ("a", "b"):
-            cfg = resolve({**TINY, "seeds": [0], "out_dir": str(tmp_path / sub)},
-                          use_env=False)
-            harness.run_experiment(cfg, "ff")
+            cfg = resolve({**TINY, "variant": "ff", "seeds": [0],
+                           "out_dir": str(tmp_path / sub)}, use_env=False)
+            harness.run_experiment(cfg)
             blobs.append((tmp_path / sub / "ff" / "seed0.ckpt").read_bytes())
         assert blobs[0] == blobs[1]
 
@@ -190,8 +200,9 @@ class TestRunExperiment:
             return state, float("nan") if env.steps_taken == 26 else reward
 
         monkeypatch.setattr(IrsEnv, "step", nan_step)
-        cfg = resolve({**TINY, "out_dir": str(tmp_path)}, use_env=False)
-        manifest = harness.run_experiment(cfg, "base")
+        cfg = resolve({**TINY, "variant": "base", "out_dir": str(tmp_path)},
+                      use_env=False)
+        manifest = harness.run_experiment(cfg)
         # both seeds hit the injected NaN but the run completes
         assert all(v.startswith("diverged") for v in manifest["seeds"].values())
         rows = plotting.read_metrics(tmp_path / "base" / "metrics.csv")
@@ -200,14 +211,15 @@ class TestRunExperiment:
     def test_failed_seed_keeps_traceback(self, tmp_path, monkeypatch):
         real_train_one = harness.train_one
 
-        def train_one(cfg, variant, seed):
+        def train_one(cfg, seed):
             if seed == 1:
                 raise RuntimeError("seed 1 exploded")
-            return real_train_one(cfg, variant, seed)
+            return real_train_one(cfg, seed)
 
         monkeypatch.setattr(harness, "train_one", train_one)
-        cfg = resolve({**TINY, "out_dir": str(tmp_path)}, use_env=False)
-        manifest = harness.run_experiment(cfg, "base")
+        cfg = resolve({**TINY, "variant": "base", "out_dir": str(tmp_path)},
+                      use_env=False)
+        manifest = harness.run_experiment(cfg)
         assert manifest["seeds"]["0"] == "ok"
         assert manifest["seeds"]["1"].startswith("failed")
         assert list(manifest["tracebacks"]) == ["1"]
@@ -289,6 +301,17 @@ class TestCompare:
         assert results[0]["final_snr_db"] == pytest.approx(ref)
         assert (tmp_path / "summary_variant.csv").exists()
         assert (tmp_path / "sweep_variant.svg").exists()
+
+    def test_variant_sweep_records_each_variant(self, tmp_path):
+        cfg = resolve({**TINY, "seeds": [0], "episodes": 1, "out_dir": str(tmp_path),
+                       "variant": "ff"}, use_env=False)
+        results = harness.compare_variants(cfg, "variant",
+                                           values=["base", "snr-state"])
+        assert [r["setting"] for r in results] == ["base", "snr-state"]
+        for variant in ("base", "snr-state"):
+            path = tmp_path / f"variant_{variant}" / variant / "manifest.json"
+            manifest = json.loads(path.read_text())
+            assert manifest["variant"] == manifest["config"]["variant"] == variant
 
     def test_window_sweep_settings(self, tmp_path):
         cfg = resolve({**TINY, "seeds": [0], "out_dir": str(tmp_path)},

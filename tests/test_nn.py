@@ -207,9 +207,7 @@ class TestAdam:
         mlp = nn.MLP.init([2, 3, 1], rng)
         before = [w.copy() for w in mlp.weights]
         opt = nn.Adam.for_mlp(mlp, lr=0.1)
-        zero = ([np.zeros_like(w) for w in mlp.weights],
-                [np.zeros_like(b) for b in mlp.biases])
-        opt.step(mlp, zero)
+        opt.step(mlp, nn.Grads(np.zeros_like(mlp.params), mlp))
         assert opt.t == 1
         for w, w0 in zip(mlp.weights, before):
             assert np.array_equal(w, w0)
@@ -218,7 +216,7 @@ class TestAdam:
         # bias correction makes the first step ~ lr for unit gradient
         mlp = nn.MLP(weights=[np.zeros((1, 1))], biases=[np.zeros(1)])
         opt = nn.Adam.for_mlp(mlp, lr=2e-4)
-        opt.step(mlp, ([np.ones((1, 1))], [np.zeros(1)]))
+        opt.step(mlp, nn.Grads(np.array([1.0, 0.0]), mlp))
         assert mlp.weights[0][0, 0] == pytest.approx(-2e-4, rel=1e-6)
 
     def test_converges_on_quadratic(self):
@@ -226,14 +224,16 @@ class TestAdam:
         opt = nn.Adam.for_mlp(mlp, lr=0.1)
         for _ in range(200):
             w = mlp.weights[0][0, 0]
-            opt.step(mlp, ([np.array([[2 * (w - 3.0)]])], [np.zeros(1)]))
+            opt.step(mlp, nn.Grads(np.array([2 * (w - 3.0), 0.0]), mlp))
         assert abs(mlp.weights[0][0, 0] - 3.0) < 0.1
 
     def test_rejects_nonfinite(self):
         mlp = nn.MLP.init([2, 1], np.random.default_rng(0))
         opt = nn.Adam.for_mlp(mlp, lr=0.1)
+        g = np.zeros_like(mlp.params)
+        g[:2] = np.nan  # the weights; the bias gradient stays finite
         with pytest.raises(nn.NonFiniteError):
-            opt.step(mlp, ([np.full((2, 1), np.nan)], [np.zeros(1)]))
+            opt.step(mlp, nn.Grads(g, mlp))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("block", [nn.ADAM_BLOCK, 7])
