@@ -159,14 +159,13 @@ class AgentNets:
         return _critic_q(critic, *self.critic_input(s, a))
 
     def critic_backward(self, critic: nn.MLP, caches, q_grad: np.ndarray,
-                        params: bool = True, inputs: bool = True):
-        """(param grads, gradient wrt the raw (s, a) input); see MLP.backward."""
+                        params: bool = True):
+        """(param grad, gradient wrt the raw (s, a) input); see MLP.backward."""
         cache, fcache = caches
-        grads, gin = critic.backward(cache, q_grad[..., None], params=params,
-                                     inputs=inputs)
-        if inputs and self.fourier is not None:
+        grad, gin = critic.backward(cache, q_grad[..., None], params=params)
+        if self.fourier is not None:
             gin = self.fourier.backward(fcache, gin)
-        return grads, gin
+        return grad, gin
 
 
 def _critic_q(critic: nn.MLP, x: np.ndarray, fcache):
@@ -237,9 +236,9 @@ def _critic_step(critic: nn.MLP, opt: nn.Adam, x: np.ndarray,
     loss = float(np.mean(err**2))
     if not np.isfinite(loss):
         raise nn.NonFiniteError("non-finite critic loss")
-    grads, _ = critic.backward(cache, (2.0 * err / err.shape[0])[..., None],
-                               inputs=False)
-    opt.step(critic, grads)
+    grad, _ = critic.backward(cache, (2.0 * err / err.shape[0])[..., None],
+                              inputs=False)
+    opt.step(critic, grad)
     return loss
 
 
@@ -280,8 +279,8 @@ def update_actor(nets: AgentNets, states: np.ndarray, opt: nn.Adam,
         # it is zero at the fixed point a = 0 of a converged tracking policy
         grad_a = grad_a - (2.0 * act_reg / states.shape[0]) * a
         objective -= act_reg * float(np.mean(np.sum(a * a, axis=1)))
-    agrads, _ = nets.actor.backward(acache, -grad_a, inputs=False)  # negate: ascent
-    opt.step(nets.actor, agrads)
+    agrad, _ = nets.actor.backward(acache, -grad_a, inputs=False)  # negate: ascent
+    opt.step(nets.actor, agrad)
     return objective
 
 

@@ -1,8 +1,8 @@
 """Experiment configuration: JSON load, presets, validation, env overrides.
 
-Two presets: "paper" reproduces the published parameter block verbatim
-(M=20, N=5, W=5, 50 episodes x 300 steps, 10 seeds, 400-wide nets, k=256,
-drifting channel); "desk" is a CI-scale variant (M=8, N=3, hidden 128, k=64,
+Two presets: "paper" is this repo's paper-scale parameter block (M=20, N=5,
+W=5, 50 episodes x 300 steps, 10 seeds, 400-wide nets, k=256, drifting
+channel); "desk" is a CI-scale variant (M=8, N=3, hidden 128, k=64,
 30 episodes x 200 steps, 3 seeds) that runs in minutes per seed on one CPU
 core.  The desk channel is statics-only (frozen shadowing and phases,
 multipath noise kept) so that a position-conditional optimum exists within
@@ -183,25 +183,15 @@ def resolve(overrides: dict, use_env: bool = True) -> ExperimentConfig:
     return cfg
 
 
-def load_config(path, use_env: bool = True) -> ExperimentConfig:
+def load_config(path) -> ExperimentConfig:
     try:
         with open(path) as f:
             raw = json.load(f)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
+    except OSError as e:  # missing, a directory, unreadable
+        raise ConfigError(f"cannot read config file {path}: {e.strerror}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"malformed JSON in {path}: {e}")
-    return resolve(raw, use_env=use_env)
-
-
-def to_dict(cfg: ExperimentConfig) -> dict:
-    return dataclasses.asdict(cfg)
-
-
-def save_config(cfg: ExperimentConfig, path) -> None:
-    with open(path, "w") as f:
-        json.dump(to_dict(cfg), f, indent=2, sort_keys=True)
-        f.write("\n")
+    return resolve(raw)
 
 
 # -- adapters into the component configs ------------------------------------

@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 import os
 import traceback
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -70,7 +70,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     manifest = {
         "version": __version__,
         "variant": cfg.variant,
-        "config": cfgmod.to_dict(cfg),
+        "config": asdict(cfg),
         "seeds": seed_status,
         "tracebacks": tracebacks,
         "metrics": metrics_path,
@@ -103,8 +103,7 @@ SWEEPS = {
 }
 
 
-def compare_variants(cfg: ExperimentConfig, sweep: str,
-                     values: list | None = None) -> list[dict]:
+def compare_variants(cfg: ExperimentConfig, sweep: str) -> list[dict]:
     """Run a sweep and report final performance per setting.
 
     sweep "variant" compares the three algorithms; "window" sweeps W;
@@ -113,8 +112,7 @@ def compare_variants(cfg: ExperimentConfig, sweep: str,
     """
     if sweep not in SWEEPS:
         raise cfgmod.ConfigError(f"unknown sweep {sweep!r}")
-    key, defaults = SWEEPS[sweep]
-    values = values if values is not None else defaults
+    key, values = SWEEPS[sweep]
 
     results = []
     metric_paths, labels = [], []
@@ -156,8 +154,7 @@ def _random_instance(rng, m, n):
     return h, G
 
 
-def oracle_check(cfg: ExperimentConfig, n_instances: int = 100,
-                 n_bound: int = 1000, verbose: bool = True) -> dict[str, bool]:
+def oracle_check(cfg: ExperimentConfig) -> dict[str, bool]:
     """Cross-checks of the signal model against its independent oracles.
 
     Properties: maximum-ratio beamformer dominance over random feasible
@@ -171,7 +168,7 @@ def oracle_check(cfg: ExperimentConfig, n_instances: int = 100,
     results: dict[str, bool] = {}
 
     ok = True
-    for _ in range(n_bound):
+    for _ in range(1000):
         h, G = _random_instance(rng, m, 3)
         theta = rng.uniform(-np.pi, np.pi, m)
         c = sig.composite_channel(h, theta, G)
@@ -184,7 +181,7 @@ def oracle_check(cfg: ExperimentConfig, n_instances: int = 100,
     results["beamformer_optimality"] = bool(ok)
 
     ok = True
-    for _ in range(n_instances):
+    for _ in range(100):
         h, G = _random_instance(rng, m, 1)
         theta_star, snr_star = sig.phase_oracle_single_antenna(h, G[:, 0], p_max, s2)
         bound = sig.snr_upper_bound(h, G, p_max, s2)
@@ -195,7 +192,7 @@ def oracle_check(cfg: ExperimentConfig, n_instances: int = 100,
     results["n1_closed_form_vs_grid"] = bool(ok)
 
     ok = True
-    for _ in range(n_bound):
+    for _ in range(1000):
         h, G = _random_instance(rng, m, 2)
         theta = rng.uniform(-np.pi, np.pi, m)
         ok &= sig.snr(h, theta, G, p_max, s2) <= sig.snr_upper_bound(h, G, p_max, s2) * (
@@ -210,7 +207,6 @@ def oracle_check(cfg: ExperimentConfig, n_instances: int = 100,
         (max(snrs) - min(snrs)) <= 1e-9 * max(snrs)
     )
 
-    if verbose:
-        for name, passed in results.items():
-            print(f"{'PASS' if passed else 'FAIL'}  {name}")
+    for name, passed in results.items():
+        print(f"{'PASS' if passed else 'FAIL'}  {name}")
     return results

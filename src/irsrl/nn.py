@@ -4,9 +4,10 @@ averaging, random Fourier features, and a binary checkpoint format.
 Training arithmetic is float32 by default; pass dtype=np.float64 when running
 finite-difference gradient checks.  An MLP's weights and biases are views of
 one flat ``params`` array, so Adam and Polyak run over flat arrays.
-Reverse-mode gradients are exact; ``backward`` returns the parameter gradients
-and the gradient with respect to the network input (needed to push the policy
-gradient through the critic's action slice), and can skip either one.
+Reverse-mode gradients are exact; ``backward`` returns the parameter gradient
+as one flat array laid out like ``params``, and the gradient with respect to
+the network input (needed to push the policy gradient through the critic's
+action slice), and can skip either one.
 """
 
 from __future__ import annotations
@@ -93,10 +94,6 @@ class MLP:
     def copy(self) -> "MLP":
         return MLP(self.weights, self.biases, self.head)
 
-    def astype(self, dtype) -> "MLP":
-        return MLP([w.astype(dtype) for w in self.weights],
-                   [b.astype(dtype) for b in self.biases], self.head)
-
     def forward(self, x: np.ndarray):
         """Returns (output, cache); accepts (d,) or (batch, d) inputs."""
         x = np.asarray(x)
@@ -125,8 +122,9 @@ class MLP:
                  inputs: bool = True):
         """Exact reverse-mode gradients.
 
-        Returns (Grads, input_grad) for the batch that produced ``cache``;
-        output_grad carries any loss scaling (e.g. 1/B).  ``params=False`` or
+        Returns (param_grad, input_grad) for the batch that produced
+        ``cache``, param_grad flat and laid out like ``params``; output_grad
+        carries any loss scaling (e.g. 1/B).  ``params=False`` or
         ``inputs=False`` skips that part and returns None in its place.
         """
         acts, z_last, single = cache
@@ -136,18 +134,19 @@ class MLP:
         if self.head == "tanh_pi":
             th = np.tanh(z_last)
             g = g * np.pi * (1.0 - th * th)
-        grads = Grads(np.empty_like(self.params), self) if params else None
+        flat = np.empty_like(self.params) if params else None
+        wg, bg = self.views(flat) if params else (None, None)
         for i in range(len(self.weights) - 1, -1, -1):
             if params:
-                np.matmul(acts[i].T, g, out=grads[0][i])
-                np.sum(g, axis=0, out=grads[1][i])
+                np.matmul(acts[i].T, g, out=wg[i])
+                np.sum(g, axis=0, out=bg[i])
             if i == 0 and not inputs:
-                return grads, None
+                return flat, None
             g = g @ self.weights[i].T
             if i > 0:
                 # ReLU subgradient: 0 at exactly 0.
                 g = g * (acts[i] > 0.0)
-        return grads, (g[0] if single else g)
+        return flat, (g[0] if single else g)
 
 
 def _flatten(weights, biases) -> np.ndarray:
@@ -159,15 +158,6 @@ def _flatten(weights, biases) -> np.ndarray:
     buf = np.empty(nbytes + 64, np.uint8)
     off = -buf.ctypes.data % 64
     return np.concatenate(ts, out=buf[off:off + nbytes].view(dtype))
-
-
-class Grads(tuple):
-    """(weight_grads, bias_grads): views of ``flat``, laid out like ``params``."""
-
-    def __new__(cls, flat: np.ndarray, mlp: MLP):
-        self = super().__new__(cls, mlp.views(flat))
-        self.flat = flat
-        return self
 
 
 # ---------------------------------------------------------------------------
@@ -188,19 +178,21 @@ class Adam:
     m: np.ndarray
     v: np.ndarray
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
 
     @classmethod
     def for_mlp(cls, mlp: MLP, lr: float) -> "Adam":
         return cls(lr=lr, m=np.zeros_like(mlp.params), v=np.zeros_like(mlp.params))
 
-    def step(self, mlp: MLP, grads: Grads) -> None:
-        """One in-place descent step; raises NonFiniteError on bad gradients.
-        The in-place ufuncs keep the float order of the per-tensor formula
+    def step(self, mlp: MLP, g: np.ndarray) -> None:
+        """One in-place descent step on the flat gradient ``g`` (laid out like
+        ``params``); raises NonFiniteError on bad gradients.  The in-place
+        ufuncs keep the float order of the per-tensor formula
         params -= lr * (m / c1) / (sqrt(v / c2) + eps), so results are exact."""
-        g = grads.flat
+        if g.shape != self.m.shape:
+            raise ValueError(f"gradient shape {g.shape} != {self.m.shape}")
         if not np.isfinite(g).all():
             raise NonFiniteError("non-finite gradient in Adam step")
         self.t += 1

@@ -21,11 +21,13 @@ class MetricsError(Exception):
 
 
 def read_metrics(path) -> list[dict]:
-    """Rows of a metrics.csv as dicts with float fields."""
+    """Rows of a metrics.csv as dicts with float fields; the header must
+    name ``episode`` and ``mean_snr_db``."""
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
-        if reader.fieldnames is None or "episode" not in reader.fieldnames:
-            raise MetricsError(f"{path}: missing header")
+        missing = {"episode", "mean_snr_db"} - set(reader.fieldnames or ())
+        if missing:
+            raise MetricsError(f"{path}: header lacks {', '.join(sorted(missing))}")
         rows = []
         for row in reader:
             try:
@@ -37,11 +39,11 @@ def read_metrics(path) -> list[dict]:
     return rows
 
 
-def curve_stats(rows: list[dict], y_key: str = "mean_snr_db"):
-    """Per-episode (mean, min, max) across seeds, NaN rows excluded."""
+def curve_stats(rows: list[dict]):
+    """Per-episode (mean, min, max) of mean_snr_db over seeds, NaN rows excluded."""
     by_ep: dict[int, list[float]] = {}
     for row in rows:
-        v = row[y_key]
+        v = row["mean_snr_db"]
         if math.isnan(v):
             continue
         by_ep.setdefault(int(row["episode"]), []).append(v)
@@ -58,8 +60,7 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def plot_curves(metrics_paths, out_path, labels=None,
-                x_label: str = "episode", y_label: str = "mean SNR (dB)") -> None:
+def plot_curves(metrics_paths, out_path, labels=None) -> None:
     """One mean curve + min-max band per input CSV, written as SVG."""
     paths = list(metrics_paths)
     if not paths:
@@ -108,10 +109,10 @@ def plot_curves(metrics_paths, out_path, labels=None,
             f'font-size="11" text-anchor="end">{_fmt(yv)}</text>')
     parts.append(
         f'<text x="{MARGIN_L + pw / 2}" y="{HEIGHT - 8}" font-size="13" '
-        f'text-anchor="middle">{escape(x_label, quote=False)}</text>')
+        'text-anchor="middle">episode</text>')
     parts.append(
         f'<text x="16" y="{MARGIN_T + ph / 2}" font-size="13" text-anchor="middle" '
-        f'transform="rotate(-90 16 {MARGIN_T + ph / 2})">{escape(y_label, quote=False)}</text>')
+        f'transform="rotate(-90 16 {MARGIN_T + ph / 2})">mean SNR (dB)</text>')
 
     for i, (label, (eps, mean, lo, hi)) in enumerate(series):
         color = PALETTE[i % len(PALETTE)]

@@ -18,8 +18,7 @@ TWO_PI = 2.0 * np.pi
 def wrap_to_pi(x):
     """Wrap angles into (-pi, pi]; pi maps to pi."""
     x = np.asarray(x, dtype=float)
-    out = x - TWO_PI * np.ceil((x - np.pi) / TWO_PI)
-    return float(out) if out.ndim == 0 else out
+    return x - TWO_PI * np.ceil((x - np.pi) / TWO_PI)
 
 
 def composite_channel(h: np.ndarray, theta: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -53,17 +52,11 @@ def snr(h, theta, G, p_max: float, noise_var: float) -> float:
     return float(p_max * norm ** 2 / noise_var)
 
 
-def snr_db(linear):
+def snr_db(linear: float) -> float:
     """10 log10 of a positive linear SNR; NaN passes through as NaN."""
-    if isinstance(linear, float):
-        if linear <= 0:
-            raise ValueError("snr_db requires positive input")
-        return float(10.0 * np.log10(linear))
-    linear = np.asarray(linear, dtype=float)
-    if np.any(linear <= 0):
+    if linear <= 0:
         raise ValueError("snr_db requires positive input")
-    out = 10.0 * np.log10(linear)
-    return float(out) if out.ndim == 0 else out
+    return float(10.0 * np.log10(linear))
 
 
 def phase_oracle_single_antenna(

@@ -209,7 +209,7 @@ class TestUpdateActor:
                 _, x = cache
                 gin = np.zeros_like(x)
                 gin[:, sdim:] = -2.0 * x[:, sdim:] * gout
-                return ([], []), gin
+                return None, gin
 
         nets.critic1 = QuadCritic()
         nets.critic2 = QuadCritic()

@@ -9,7 +9,7 @@ import pytest
 from irsrl import config as cfgmod
 from irsrl import harness, plotting
 from irsrl.env import IrsEnv
-from irsrl.config import ConfigError, load_config, resolve, save_config, to_dict
+from irsrl.config import ConfigError, load_config, resolve
 
 
 TINY = {
@@ -118,11 +118,12 @@ class TestConfig:
             resolve({"not_a_key": 1}, use_env=False)
 
     def test_round_trip(self, tmp_path):
-        cfg = resolve({"preset": "paper", "lr": 1e-3}, use_env=False)
-        p = tmp_path / "cfg.json"
-        save_config(cfg, p)
-        cfg2 = load_config(p, use_env=False)
-        assert to_dict(cfg) == to_dict(cfg2)
+        # the config saved in manifest.json is the config that ran
+        cfg = resolve({**TINY, "preset": "paper", "lr": 1e-3, "seeds": [0],
+                       "episodes": 1, "out_dir": str(tmp_path)}, use_env=False)
+        harness.run_experiment(cfg)
+        manifest = json.loads((tmp_path / "ff" / "manifest.json").read_text())
+        assert resolve(manifest["config"], use_env=False) == cfg
 
     def test_missing_file(self):
         with pytest.raises(ConfigError):
@@ -278,10 +279,10 @@ class TestPlot:
         m = tmp_path / "m.csv"
         self._write_metrics(m, [1.0])
         out = tmp_path / "plot.svg"
-        plotting.plot_curves([m], out, labels=["a<b & c>\"d'"], x_label="x<y")
+        plotting.plot_curves([m], out, labels=["a<b & c>\"d'"])
         svg = out.read_text(encoding="utf-8")
         assert ">a&lt;b &amp; c&gt;\"d'</text>" in svg
-        assert ">x&lt;y</text>" in svg
+        assert ">episode</text>" in svg and ">mean SNR (dB)</text>" in svg
         ET.parse(out)
 
     def test_rejects_empty_csv(self, tmp_path):
@@ -295,20 +296,20 @@ class TestCompare:
     def test_degenerate_sweep(self, tmp_path):
         cfg = resolve({**TINY, "seeds": [0], "out_dir": str(tmp_path),
                        "variant": "base"}, use_env=False)
-        results = harness.compare_variants(cfg, "variant", values=["base"])
-        assert len(results) == 1
-        ref = harness.final_performance(results[0]["metrics"])
-        assert results[0]["final_snr_db"] == pytest.approx(ref)
+        results = harness.compare_variants(cfg, "variant")
+        assert [r["setting"] for r in results] == list(cfgmod.VARIANTS)
+        for r in results:
+            ref = harness.final_performance(r["metrics"])
+            assert r["final_snr_db"] == pytest.approx(ref)
         assert (tmp_path / "summary_variant.csv").exists()
         assert (tmp_path / "sweep_variant.svg").exists()
 
     def test_variant_sweep_records_each_variant(self, tmp_path):
         cfg = resolve({**TINY, "seeds": [0], "episodes": 1, "out_dir": str(tmp_path),
                        "variant": "ff"}, use_env=False)
-        results = harness.compare_variants(cfg, "variant",
-                                           values=["base", "snr-state"])
-        assert [r["setting"] for r in results] == ["base", "snr-state"]
-        for variant in ("base", "snr-state"):
+        results = harness.compare_variants(cfg, "variant")
+        assert [r["setting"] for r in results] == ["base", "snr-state", "ff"]
+        for variant in ("base", "snr-state", "ff"):
             path = tmp_path / f"variant_{variant}" / variant / "manifest.json"
             manifest = json.loads(path.read_text())
             assert manifest["variant"] == manifest["config"]["variant"] == variant
@@ -316,15 +317,14 @@ class TestCompare:
     def test_window_sweep_settings(self, tmp_path):
         cfg = resolve({**TINY, "seeds": [0], "out_dir": str(tmp_path)},
                       use_env=False)
-        results = harness.compare_variants(cfg, "window", values=[1, 2])
-        assert [r["setting"] for r in results] == ["w=1", "w=2"]
+        results = harness.compare_variants(cfg, "window")
+        assert [r["setting"] for r in results] == ["w=1", "w=3", "w=5"]
 
 
 class TestOracleCheck:
     def test_all_properties_pass(self):
         cfg = resolve({"m": 3, "n": 1}, use_env=False)
-        results = harness.oracle_check(cfg, n_instances=20, n_bound=100,
-                                       verbose=False)
+        results = harness.oracle_check(cfg)
         assert results and all(results.values())
 
 
@@ -382,6 +382,20 @@ class TestCli:
         r = self._run("train", "--config", str(p), "--out", str(blocker / "out"))
         assert r.returncode == 3
         assert r.stderr.startswith("error:")
+        assert len(r.stderr.strip().splitlines()) == 1
+
+    def test_plot_csv_without_snr_column_exit_code(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_text("seed,episode\n0,0\n")
+        r = self._run("plot", "--in", str(p), "--out", str(tmp_path / "out.svg"))
+        assert r.returncode == 3
+        assert r.stderr.startswith("error:") and "mean_snr_db" in r.stderr
+        assert len(r.stderr.strip().splitlines()) == 1
+
+    def test_config_directory_exit_code(self, tmp_path):
+        r = self._run("train", "--config", str(tmp_path))
+        assert r.returncode == 2
+        assert r.stderr.startswith("config error:") and str(tmp_path) in r.stderr
         assert len(r.stderr.strip().splitlines()) == 1
 
     def test_plot_missing_input_exit_code(self, tmp_path):

