@@ -185,10 +185,13 @@ def resolve(overrides: dict, use_env: bool = True) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             raw = json.load(f)
     except OSError as e:  # missing, a directory, unreadable
         raise ConfigError(f"cannot read config file {path}: {e.strerror}")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"config file {path} is not valid UTF-8: {e.reason} "
+                          f"at byte {e.start}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"malformed JSON in {path}: {e}")
     return resolve(raw)

@@ -1,5 +1,14 @@
 """Experiment orchestration: multi-seed runs, metrics persistence, variant
-and ablation sweeps, and the signal-model verification suite."""
+and ablation sweeps, and the signal-model verification suite.
+
+``run_experiment`` trains a run's seeds in parallel when the process may use
+more than one CPU: the caller and one forked worker per spare CPU, each
+pinned to its own CPU, train every P-th seed, and the caller merges the
+results in seed order.  Each process writes the checkpoints of the seeds it
+trained.  A process allowed on one CPU (``taskset -c 0``) or a one-seed run
+trains the seeds one after another in the caller.  Both paths write the same
+bytes, except for the wall_s column of metrics.csv.
+"""
 
 from __future__ import annotations
 
@@ -33,9 +42,88 @@ def train_one(cfg: ExperimentConfig, seed: int):
     return agent.train(env, cfgmod.agent_config(cfg), cfg.episodes, streams)
 
 
+def _train_seed(cfg: ExperimentConfig, out: str, seed: int):
+    """Train one seed and write its checkpoint into ``out``.
+
+    Returns (status, traceback text or None, formatted metrics rows); any
+    exception is the seed's own failure.
+    """
+    try:
+        stats, nets = train_one(cfg, seed)
+        nn.save_checkpoint(os.path.join(out, f"seed{seed}.ckpt"),
+                           agent.checkpoint_tensors(nets))
+    except Exception as e:  # noqa: BLE001 - per-seed isolation
+        return f"failed: {e}", traceback.format_exc(), []
+    status = f"diverged ({stats.divergence_note})" if stats.diverged else "ok"
+    return status, None, [_fmt_row(seed, row) for row in stats.rows]
+
+
+def _pool_worker(cfg: ExperimentConfig, out: str, seeds: list[int], cpu: int,
+                 conn) -> None:
+    """A forked worker: pinned to ``cpu``, it trains ``seeds`` and sends
+    (seed, result) through ``conn`` as each one finishes."""
+    os.sched_setaffinity(0, {cpu})
+    with conn:
+        for seed in seeds:
+            conn.send((seed, _train_seed(cfg, out, seed)))
+
+
+def _train_pooled(cfg: ExperimentConfig, out: str, cpus: list[int]) -> dict:
+    """Train cfg.seeds over one process per CPU in ``cpus``; returns
+    {seed: _train_seed result}.
+
+    Process k trains ``seeds[k::P]`` pinned to ``cpus[k]``: the caller is
+    process 0, the others are forked before the caller starts any thread.
+    A pinned process sees one CPU, so ``agent.train`` starts no twin-critic
+    thread in it.  Every seed of a worker that dies before reporting it is
+    recorded as failed.  Every worker is joined, and the caller's affinity
+    restored, before this returns or raises.
+    """
+    import multiprocessing  # about 15 ms: only runs with spare CPUs pay it
+
+    ctx = multiprocessing.get_context("fork")
+    n = len(cpus)
+    own_cpus = os.sched_getaffinity(0)
+    workers = []
+    results = {}
+    try:
+        for k in range(1, n):
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_pool_worker,
+                               args=(cfg, out, cfg.seeds[k::n], cpus[k], send))
+            proc.start()
+            send.close()
+            workers.append((proc, recv))
+        os.sched_setaffinity(0, {cpus[0]})
+        for seed in cfg.seeds[0::n]:
+            results[seed] = _train_seed(cfg, out, seed)
+        for k, (proc, recv) in enumerate(workers, start=1):
+            with recv:
+                while True:
+                    try:
+                        seed, res = recv.recv()
+                    except EOFError:  # the worker closed its end: done or dead
+                        break
+                    results[seed] = res
+            proc.join()
+            lost = f"failed: worker process exited (exit code {proc.exitcode})"
+            for seed in cfg.seeds[k::n]:
+                results.setdefault(seed, (lost, None, []))
+    finally:
+        for proc, _ in workers:
+            if proc.is_alive():
+                proc.kill()
+            proc.join()
+        os.sched_setaffinity(0, own_cpus)
+    return results
+
+
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run every seed of cfg.variant; writes metrics.csv, checkpoints, manifest.
 
+    With more than one seed and more than one allowed CPU the seeds are
+    trained in parallel, one pinned process per CPU (``_train_pooled``);
+    outputs are byte-identical to the serial run except the wall_s column.
     Per-seed failures are recorded in the manifest (status under "seeds", the
     traceback under "tracebacks"); raises RunError only when every seed fails.
     Returns the manifest dict.
@@ -43,25 +131,24 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     out = os.path.join(cfg.out_dir, cfg.variant)
     os.makedirs(out, exist_ok=True)
 
+    try:
+        cpus = sorted(os.sched_getaffinity(0))[:len(cfg.seeds)]
+    except AttributeError:  # no affinity call on this platform
+        cpus = []
+    if len(cpus) > 1:
+        results = _train_pooled(cfg, out, cpus)
+    else:
+        results = {seed: _train_seed(cfg, out, seed) for seed in cfg.seeds}
+
     lines = [METRICS_HEADER]
     seed_status: dict[str, str] = {}
     tracebacks: dict[str, str] = {}
-    any_ok = False
     for seed in cfg.seeds:
-        try:
-            stats, nets = train_one(cfg, seed)
-        except Exception as e:  # noqa: BLE001 - per-seed isolation
-            seed_status[str(seed)] = f"failed: {e}"
-            tracebacks[str(seed)] = traceback.format_exc()
-            continue
-        any_ok = True
-        for row in stats.rows:
-            lines.append(_fmt_row(seed, row))
-        nn.save_checkpoint(os.path.join(out, f"seed{seed}.ckpt"),
-                           agent.checkpoint_tensors(nets))
-        seed_status[str(seed)] = (
-            f"diverged ({stats.divergence_note})" if stats.diverged else "ok"
-        )
+        status, tb, rows = results[seed]
+        seed_status[str(seed)] = status
+        if tb is not None:
+            tracebacks[str(seed)] = tb
+        lines += rows
 
     metrics_path = os.path.join(out, "metrics.csv")
     with open(metrics_path, "w", encoding="utf-8") as f:
@@ -79,7 +166,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
 
-    if not any_ok:
+    if all(status.startswith("failed") for status in seed_status.values()):
         raise RunError(f"all seeds failed for variant {cfg.variant}: {seed_status}")
     return manifest
 

@@ -5,6 +5,8 @@ The slow end-to-end training criteria (5-8) use the desk-scale preset and are
 marked `slow`; deselect with `-m "not slow"` for a quick pass.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -193,15 +195,23 @@ SANITY = {
 }
 
 
+def _seed_finals(cfg, out_dir) -> dict[int, float]:
+    """Train every seed of cfg through run_experiment (in parallel where the
+    CPUs allow); returns each seed's mean SNR over its last 10 episodes."""
+    cfg = replace(cfg, out_dir=str(out_dir))
+    rows = read_metrics(harness.run_experiment(cfg)["metrics"])
+    return {seed: np.mean([r["mean_snr_db"] for r in rows
+                           if int(r["seed"]) == seed][-10:])
+            for seed in cfg.seeds}
+
+
 @pytest.mark.slow
-def test_criterion_5_sanity_convergence():
+def test_criterion_5_sanity_convergence(tmp_path):
+    cfg = cfgmod.resolve({**SANITY, "variant": "base", "seeds": [0, 1, 2]},
+                         use_env=False)
     hits = 0
     details = []
-    for seed in (0, 1, 2):
-        cfg = cfgmod.resolve({**SANITY, "variant": "base", "seeds": [seed]},
-                             use_env=False)
-        stats, _ = harness.train_one(cfg, seed)
-        final = np.mean([r.mean_reward_db for r in stats.rows[-10:]])
+    for seed, final in _seed_finals(cfg, tmp_path).items():
         # closed-form optimum on the same frozen channel realization
         env_cfg = cfgmod.env_config(cfg)
         streams = ag.seed_streams(seed)
@@ -223,29 +233,25 @@ def test_criterion_5_sanity_convergence():
 # -- criteria 6-8: desk-scale training comparisons ---------------------------
 
 
-def _desk_final(variant: str, seeds=(0, 1, 2), **overrides) -> float:
-    finals = []
-    for seed in seeds:
-        cfg = cfgmod.resolve({"preset": "desk", "variant": variant, "seeds": [seed],
-                              **overrides}, use_env=False)
-        stats, _ = harness.train_one(cfg, seed)
-        finals.append(np.mean([r.mean_reward_db for r in stats.rows[-10:]]))
-    return float(np.mean(finals))
+def _desk_final(out_dir, variant: str, **overrides) -> float:
+    cfg = cfgmod.resolve({"preset": "desk", "variant": variant, "seeds": [0, 1, 2],
+                          **overrides}, use_env=False)
+    return float(np.mean(list(_seed_finals(cfg, out_dir).values())))
 
 
 @pytest.mark.slow
-def test_criterion_6_ff_beats_base():
-    ff = _desk_final("ff")
-    base = _desk_final("base")
+def test_criterion_6_ff_beats_base(tmp_path):
+    ff = _desk_final(tmp_path, "ff")
+    base = _desk_final(tmp_path, "base")
     gain = ff - base
     report("criterion 6: ff vs base", gain >= 0.5,
            f"ff={ff:.2f} dB, base={base:.2f} dB, gain={gain:.2f} (>= 0.5 dB)")
 
 
 @pytest.mark.slow
-def test_criterion_7_window_ablation():
-    w5 = _desk_final("ff", w=5)
-    w1 = _desk_final("ff", w=1)
+def test_criterion_7_window_ablation(tmp_path):
+    w5 = _desk_final(tmp_path / "w5", "ff", w=5)
+    w1 = _desk_final(tmp_path / "w1", "ff", w=1)
     report("criterion 7: window ablation", w5 >= w1,
            f"W=5 final={w5:.2f} dB, W=1 final={w1:.2f} dB")
 

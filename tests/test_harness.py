@@ -1,7 +1,10 @@
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -27,6 +30,33 @@ TINY = {
     "buffer": 500,
     "seeds": [0, 1],
 }
+
+ALLOWED_CPUS = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+multi_cpu = pytest.mark.skipif(len(ALLOWED_CPUS) < 2,
+                               reason="seeds run in parallel only on 2+ CPUs")
+
+
+@contextmanager
+def allowed_cpus(n: int):
+    """Restrict this process to its first ``n`` allowed CPUs while inside."""
+    os.sched_setaffinity(0, ALLOWED_CPUS[:n])
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, ALLOWED_CPUS)
+
+
+def run_outputs(cfg):
+    """metrics.csv without wall_s, every checkpoint's bytes, manifest seeds."""
+    manifest = harness.run_experiment(cfg)
+    out = os.path.join(cfg.out_dir, cfg.variant)
+    with open(os.path.join(out, "metrics.csv"), encoding="utf-8") as f:
+        rows = [line.rsplit(",", 1)[0] for line in f]
+    ckpts = {}
+    for seed in cfg.seeds:
+        with open(os.path.join(out, f"seed{seed}.ckpt"), "rb") as f:
+            ckpts[seed] = f.read()
+    return rows, ckpts, manifest["seeds"]
 
 
 class TestConfig:
@@ -233,6 +263,65 @@ class TestRunExperiment:
         assert len(rows) == TINY["episodes"]
 
 
+    @multi_cpu
+    def test_dead_worker_keeps_other_seeds(self, tmp_path, monkeypatch):
+        # two processes: the caller trains seeds 0 and 2, the worker 1 and 3
+        real_train_one = harness.train_one
+
+        def train_one(cfg, seed):
+            if seed == 1:
+                os._exit(7)
+            return real_train_one(cfg, seed)
+
+        monkeypatch.setattr(harness, "train_one", train_one)
+        cfg = resolve({**TINY, "variant": "base", "seeds": [0, 1, 2, 3],
+                       "out_dir": str(tmp_path)}, use_env=False)
+        with allowed_cpus(2):
+            manifest = harness.run_experiment(cfg)
+        lost = "failed: worker process exited (exit code 7)"
+        assert manifest["seeds"] == {"0": "ok", "1": lost, "2": "ok", "3": lost}
+        rows = plotting.read_metrics(tmp_path / "base" / "metrics.csv")
+        assert [int(r["seed"]) for r in rows] == [0] * 3 + [2] * 3
+        assert sorted(p.name for p in (tmp_path / "base").glob("*.ckpt")) == [
+            "seed0.ckpt", "seed2.ckpt"]
+        assert multiprocessing.active_children() == []
+
+
+@multi_cpu
+class TestSeedPool:
+    @pytest.mark.parametrize("variant", ["base", "ff"])
+    def test_pooled_matches_serial(self, tmp_path, variant):
+        cfgs = [resolve({**TINY, "variant": variant, "seeds": [0, 1, 2],
+                         "out_dir": str(tmp_path / sub)}, use_env=False)
+                for sub in ("pooled", "serial")]
+        pooled = run_outputs(cfgs[0])
+        assert multiprocessing.active_children() == []
+        with allowed_cpus(1):
+            serial = run_outputs(cfgs[1])
+        assert pooled == serial
+        assert pooled[2] == {"0": "ok", "1": "ok", "2": "ok"}
+
+    class Abort(BaseException):
+        """Escapes run_experiment's per-seed isolation."""
+
+    @pytest.mark.parametrize("error, raised", [
+        (RuntimeError, harness.RunError),  # every seed fails
+        (Abort, Abort),                    # the caller's own seed aborts
+    ])
+    def test_joins_workers_and_restores_affinity(self, tmp_path, monkeypatch,
+                                                 error, raised):
+        def train_one(cfg, seed):
+            raise error(f"seed {seed}")
+
+        monkeypatch.setattr(harness, "train_one", train_one)
+        cfg = resolve({**TINY, "variant": "base", "out_dir": str(tmp_path)},
+                      use_env=False)
+        with pytest.raises(raised):
+            harness.run_experiment(cfg)
+        assert sorted(os.sched_getaffinity(0)) == ALLOWED_CPUS
+        assert multiprocessing.active_children() == []
+
+
 class TestFinalPerformance:
     def test_mean_of_last_episodes(self, tmp_path):
         p = tmp_path / "m.csv"
@@ -348,8 +437,10 @@ class TestCli:
         assert "m must be int" in r.stderr
 
     def test_import_leaves_network_stack_unloaded(self):
+        # nor the process pool, which only multi-seed runs on 2+ CPUs import
         code = ("import sys, irsrl.harness, irsrl.cli; print(sorted(m for m in "
-                "('ssl', 'http.client', 'urllib.request') if m in sys.modules))")
+                "('ssl', 'http.client', 'urllib.request', 'multiprocessing', "
+                "'concurrent.futures.process') if m in sys.modules))")
         r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert r.returncode == 0, r.stderr
         assert r.stdout.strip() == "[]"
@@ -396,6 +487,14 @@ class TestCli:
         r = self._run("train", "--config", str(tmp_path))
         assert r.returncode == 2
         assert r.stderr.startswith("config error:") and str(tmp_path) in r.stderr
+        assert len(r.stderr.strip().splitlines()) == 1
+
+    def test_config_not_utf8_exit_code(self, tmp_path):
+        p = tmp_path / "bad.json"
+        p.write_bytes(b"\xff\xfe{")
+        r = self._run("train", "--config", str(p))
+        assert r.returncode == 2
+        assert r.stderr.startswith("config error:") and str(p) in r.stderr
         assert len(r.stderr.strip().splitlines()) == 1
 
     def test_plot_missing_input_exit_code(self, tmp_path):
