@@ -3,11 +3,12 @@ and ablation sweeps, and the signal-model verification suite.
 
 ``run_experiment`` trains a run's seeds in parallel when the process may use
 more than one CPU: the caller and one forked worker per spare CPU, each
-pinned to its own CPU, train every P-th seed, and the caller merges the
-results in seed order.  Each process writes the checkpoints of the seeds it
-trained.  A process allowed on one CPU (``taskset -c 0``) or a one-seed run
-trains the seeds one after another in the caller.  Both paths write the same
-bytes, except for the wall_s column of metrics.csv.
+pinned to its own CPU with one BLAS thread, train every P-th seed, and the
+caller merges the results in seed order.  Each process writes the
+checkpoints of the seeds it trained.  A process allowed on one CPU
+(``taskset -c 0``), a one-seed run, or a numpy whose BLAS is not an
+OpenBLAS trains the seeds one after another in the caller.  Both paths
+write the same bytes, except for the wall_s column of metrics.csv.
 """
 
 from __future__ import annotations
@@ -68,25 +69,62 @@ def _pool_worker(cfg: ExperimentConfig, out: str, seeds: list[int], cpu: int,
             conn.send((seed, _train_seed(cfg, out, seed)))
 
 
-def _train_pooled(cfg: ExperimentConfig, out: str, cpus: list[int]) -> dict:
+def _openblas_thread_controls() -> list:
+    """(get, set) thread-count functions of each OpenBLAS loaded in this
+    process (numpy's wheels bundle one), found through /proc/self/maps."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as f:
+            paths = {fields[5].rstrip("\n") for fields in
+                     (line.split(maxsplit=5) for line in f)
+                     if len(fields) == 6 and "openblas" in os.path.basename(fields[5])}
+    except OSError:  # no /proc: not Linux
+        return []
+    controls = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)  # already loaded: this only finds it
+        except OSError:  # the file was replaced since it was loaded
+            continue
+        for prefix in ("openblas", "scipy_openblas"):
+            for suffix in ("", "64_"):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    controls.append((get, put))
+    return controls
+
+
+def _train_pooled(cfg: ExperimentConfig, out: str, cpus: list[int],
+                  blas: list) -> dict:
     """Train cfg.seeds over one process per CPU in ``cpus``; returns
     {seed: _train_seed result}.
 
     Process k trains ``seeds[k::P]`` pinned to ``cpus[k]``: the caller is
     process 0, the others are forked before the caller starts any thread.
     A pinned process sees one CPU, so ``agent.train`` starts no twin-critic
-    thread in it.  Every seed of a worker that dies before reporting it is
-    recorded as failed.  Every worker is joined, and the caller's affinity
-    restored, before this returns or raises.
+    thread in it.  Each process also runs one BLAS thread (``blas`` are the
+    (get, set) controls): two OpenBLAS threads that share one CPU busy-wait
+    on each other, and a desk-size matmul (64x128 by 128x128) then took
+    16 ms instead of 37 us on a 2-core host.
+    Every seed of a worker that dies before reporting it is recorded as
+    failed.  Every worker is joined, and the caller's affinity and BLAS
+    threads restored, before this returns or raises.
     """
     import multiprocessing  # about 15 ms: only runs with spare CPUs pay it
 
     ctx = multiprocessing.get_context("fork")
     n = len(cpus)
     own_cpus = os.sched_getaffinity(0)
+    own_threads = [get() for get, _ in blas]
     workers = []
     results = {}
     try:
+        for _, put in blas:  # before the fork, so the workers inherit it
+            put(1)
         for k in range(1, n):
             recv, send = ctx.Pipe(duplex=False)
             proc = ctx.Process(target=_pool_worker,
@@ -115,6 +153,8 @@ def _train_pooled(cfg: ExperimentConfig, out: str, cpus: list[int]) -> dict:
                 proc.kill()
             proc.join()
         os.sched_setaffinity(0, own_cpus)
+        for (_, put), threads in zip(blas, own_threads):
+            put(threads)
     return results
 
 
@@ -122,8 +162,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run every seed of cfg.variant; writes metrics.csv, checkpoints, manifest.
 
     With more than one seed and more than one allowed CPU the seeds are
-    trained in parallel, one pinned process per CPU (``_train_pooled``);
-    outputs are byte-identical to the serial run except the wall_s column.
+    trained in parallel, one pinned process per CPU (``_train_pooled``), if
+    numpy's BLAS is an OpenBLAS; outputs are byte-identical to the serial
+    run except the wall_s column.
     Per-seed failures are recorded in the manifest (status under "seeds", the
     traceback under "tracebacks"); raises RunError only when every seed fails.
     Returns the manifest dict.
@@ -135,8 +176,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         cpus = sorted(os.sched_getaffinity(0))[:len(cfg.seeds)]
     except AttributeError:  # no affinity call on this platform
         cpus = []
-    if len(cpus) > 1:
-        results = _train_pooled(cfg, out, cpus)
+    # a BLAS whose threads cannot be limited would oversubscribe the CPUs
+    blas = _openblas_thread_controls() if len(cpus) > 1 else []
+    if blas:
+        results = _train_pooled(cfg, out, cpus, blas)
     else:
         results = {seed: _train_seed(cfg, out, seed) for seed in cfg.seeds}
 

@@ -32,8 +32,10 @@ TINY = {
 }
 
 ALLOWED_CPUS = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
-multi_cpu = pytest.mark.skipif(len(ALLOWED_CPUS) < 2,
-                               reason="seeds run in parallel only on 2+ CPUs")
+BLAS = harness._openblas_thread_controls()
+multi_cpu = pytest.mark.skipif(len(ALLOWED_CPUS) < 2 or not BLAS,
+                               reason="seeds run in parallel only on 2+ CPUs "
+                                      "with an OpenBLAS")
 
 
 @contextmanager
@@ -300,6 +302,29 @@ class TestSeedPool:
             serial = run_outputs(cfgs[1])
         assert pooled == serial
         assert pooled[2] == {"0": "ok", "1": "ok", "2": "ok"}
+
+    def test_one_cpu_and_one_blas_thread_per_process(self, tmp_path, monkeypatch):
+        # every seed fails with the affinity and BLAS threads its process saw
+        def train_one(cfg, seed):
+            raise RuntimeError(f"cpus={len(os.sched_getaffinity(0))} "
+                               f"blas={[get() for get, _ in BLAS]}")
+
+        monkeypatch.setattr(harness, "train_one", train_one)
+        cfg = resolve({**TINY, "variant": "base", "seeds": [0, 1, 2],
+                       "out_dir": str(tmp_path)}, use_env=False)
+        own = [get() for get, _ in BLAS]
+        try:
+            for _, put in BLAS:
+                put(2)
+            with pytest.raises(harness.RunError):
+                harness.run_experiment(cfg)
+            assert [get() for get, _ in BLAS] == [2] * len(BLAS)
+        finally:
+            for (_, put), threads in zip(BLAS, own):
+                put(threads)
+        saved = json.loads((tmp_path / "base" / "manifest.json").read_text())
+        one = f"failed: cpus=1 blas={[1] * len(BLAS)}"
+        assert saved["seeds"] == {"0": one, "1": one, "2": one}
 
     class Abort(BaseException):
         """Escapes run_experiment's per-seed isolation."""
