@@ -116,6 +116,8 @@ def _train_pooled(cfg: ExperimentConfig, out: str, cpus: list[int],
     """
     import multiprocessing  # about 15 ms: only runs with spare CPUs pay it
 
+    # fork: a worker starts from the caller's imported modules and state;
+    # spawn would import numpy and irsrl again in every worker of every run
     ctx = multiprocessing.get_context("fork")
     n = len(cpus)
     own_cpus = os.sched_getaffinity(0)

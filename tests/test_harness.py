@@ -264,7 +264,6 @@ class TestRunExperiment:
         assert {int(r["seed"]) for r in rows} == {0}
         assert len(rows) == TINY["episodes"]
 
-
     @multi_cpu
     def test_dead_worker_keeps_other_seeds(self, tmp_path, monkeypatch):
         # two processes: the caller trains seeds 0 and 2, the worker 1 and 3
