@@ -31,7 +31,7 @@ from functools import partial
 import numpy as np
 
 from . import nn
-from .env import IrsEnv, state_dim
+from .env import EnvConfig, IrsEnv, state_dim
 
 CRITIC_INPUTS = ("raw", "fourier")
 # Critics with fewer parameters update both halves on the calling thread: the
@@ -208,7 +208,7 @@ def select_action(nets: AgentNets, state: np.ndarray, sigma: float,
     around the deterministic actor output."""
     if warmup:
         return rng.uniform(-np.pi, np.pi, size=action_dim)
-    a, _ = nets.actor.forward(state.astype(np.float32))
+    a = nets.actor.forward(state[None].astype(np.float32))[0][0]  # a one-row batch
     if sigma > 0:
         a = a + sigma * rng.standard_normal(action_dim)
     return np.minimum(np.maximum(a, -np.pi), np.pi)
@@ -338,16 +338,19 @@ def checkpoint_tensors(nets: AgentNets) -> dict[str, np.ndarray]:
     return out
 
 
-def train(env: IrsEnv, cfg: AgentConfig, episodes: int,
-          streams: dict[str, np.random.Generator]) -> tuple[TrainStats, AgentNets]:
-    """Full training loop; deterministic given (env config, cfg, streams).
+def train(env_cfg: EnvConfig, cfg: AgentConfig, episodes: int,
+          seed: int) -> tuple[TrainStats, AgentNets]:
+    """Full training loop of one seed; deterministic given (env_cfg, cfg,
+    episodes, seed).
 
-    ``streams`` is ``seed_streams(seed)`` for the seed whose "channel" and
-    "motion" streams ``env`` was built on.  On divergence the loop stops,
-    flags the stats, and returns the last end-of-episode networks.
+    The env and the networks draw from ``seed_streams(seed)``.  On divergence
+    the loop stops, flags the stats, and returns the last end-of-episode
+    networks.
     """
-    sdim = state_dim(env.cfg)
-    m = env.cfg.m
+    streams = seed_streams(seed)
+    env = IrsEnv(env_cfg, streams["channel"], streams["motion"])
+    sdim = state_dim(env_cfg)
+    m = env_cfg.m
     nets = AgentNets.init(sdim, m, cfg, streams["init"], streams["fourier"])
     opts = (nn.Adam.for_mlp(nets.critic1, cfg.lr), nn.Adam.for_mlp(nets.critic2, cfg.lr))
     actor_opt = nn.Adam.for_mlp(nets.actor, cfg.lr)
@@ -372,7 +375,7 @@ def train(env: IrsEnv, cfg: AgentConfig, episodes: int,
             state = env.reset()
             rewards, closses, aobjs = [], [], []
             try:
-                for _ in range(env.cfg.episode_len):
+                for _ in range(env_cfg.episode_len):
                     warmup = global_step < cfg.warmup_steps
                     action = select_action(nets, state, sigma, m,
                                            streams["exploration"], warmup=warmup)

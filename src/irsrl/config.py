@@ -24,6 +24,7 @@ import dataclasses
 import json
 import numbers
 import os
+import sys
 import types
 import typing
 from dataclasses import dataclass, field
@@ -114,7 +115,8 @@ class ExperimentConfig:
 
 def _conforms(value, tp) -> bool:
     """isinstance for the annotations used above; an int is a valid float,
-    and a bool is not a number."""
+    a bool is not a number, and a float must be finite: JSON and the IRSRL_*
+    values accept Infinity, NaN, 1e999 and integers beyond float range."""
     if typing.get_origin(tp) in (typing.Union, types.UnionType):
         return any(_conforms(value, arg) for arg in typing.get_args(tp))
     if typing.get_origin(tp) is list:
@@ -122,7 +124,8 @@ def _conforms(value, tp) -> bool:
         return isinstance(value, list) and all(_conforms(v, item) for v in value)
     if tp in (int, float):
         kind = numbers.Integral if tp is int else numbers.Real
-        return isinstance(value, kind) and not isinstance(value, bool)
+        return (isinstance(value, kind) and not isinstance(value, bool)
+                and (tp is int or abs(value) <= sys.float_info.max))
     return isinstance(value, tp)
 
 

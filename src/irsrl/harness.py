@@ -22,7 +22,6 @@ import numpy as np
 
 from . import __version__, agent, config as cfgmod, nn, plotting, signal as sig
 from .config import ExperimentConfig
-from .env import IrsEnv
 
 METRICS_HEADER = "seed,episode,mean_snr_db,critic_loss,actor_obj,sigma,wall_s"
 
@@ -36,13 +35,6 @@ def _fmt_row(seed: int, row: agent.EpisodeStats) -> str:
             f"{row.actor_objective!r},{row.sigma!r},{row.wall_s:.3f}")
 
 
-def train_one(cfg: ExperimentConfig, seed: int):
-    """Train one seed of cfg.variant; returns (TrainStats, AgentNets)."""
-    streams = agent.seed_streams(seed)
-    env = IrsEnv(cfgmod.env_config(cfg), streams["channel"], streams["motion"])
-    return agent.train(env, cfgmod.agent_config(cfg), cfg.episodes, streams)
-
-
 def _train_seed(cfg: ExperimentConfig, out: str, seed: int):
     """Train one seed and write its checkpoint into ``out``.
 
@@ -50,7 +42,8 @@ def _train_seed(cfg: ExperimentConfig, out: str, seed: int):
     exception is the seed's own failure.
     """
     try:
-        stats, nets = train_one(cfg, seed)
+        stats, nets = agent.train(cfgmod.env_config(cfg), cfgmod.agent_config(cfg),
+                                  cfg.episodes, seed)
         nn.save_checkpoint(os.path.join(out, f"seed{seed}.ckpt"),
                            agent.checkpoint_tensors(nets))
     except Exception as e:  # noqa: BLE001 - per-seed isolation

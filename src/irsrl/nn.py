@@ -1,9 +1,10 @@
 """From-scratch dense network stack: MLP forward/backward, Adam, Polyak
 averaging, random Fourier features, and a binary checkpoint format.
 
-Training arithmetic is float32 by default; pass dtype=np.float64 when running
-finite-difference gradient checks.  An MLP's weights and biases are views of
-one flat ``params`` array, so Adam and Polyak run over flat arrays.
+Every network call takes a (batch, d) array; one input is a one-row
+batch.  Training arithmetic is float32 by default; pass dtype=np.float64 when
+running finite-difference gradient checks.  An MLP's weights and biases are
+views of one flat ``params`` array, so Adam and Polyak run over flat arrays.
 Reverse-mode gradients are exact; ``backward`` returns the parameter gradient
 as one flat array laid out like ``params``, and the gradient with respect to
 the network input (needed to push the policy gradient through the critic's
@@ -95,15 +96,13 @@ class MLP:
         return MLP(self.weights, self.biases, self.head)
 
     def forward(self, x: np.ndarray):
-        """Returns (output, cache); accepts (d,) or (batch, d) inputs."""
-        x = np.asarray(x)
-        single = x.ndim == 1
-        a = x[None, :] if single else x
-        if a.shape[1] != self.weights[0].shape[0]:
-            raise ValueError(f"input width {a.shape[1]} != {self.weights[0].shape[0]}")
-        if not np.isfinite(a).all():
+        """Returns (output, cache) for a (batch, d) input."""
+        d = self.weights[0].shape[0]
+        if x.ndim != 2 or x.shape[1] != d:
+            raise ValueError(f"input shape {x.shape} != (batch, {d})")
+        if not np.isfinite(x).all():
             raise ValueError("non-finite network input")
-        acts = [a]   # post-activation of each layer, acts[0] = input
+        acts = [x]   # post-activation of each layer, acts[0] = input
         z_last = None
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             z = acts[-1] @ w + b
@@ -115,8 +114,7 @@ class MLP:
             out = np.pi * np.tanh(z_last)
         else:
             out = z_last
-        cache = (acts, z_last, single)
-        return (out[0] if single else out), cache
+        return out, (acts, z_last)
 
     def backward(self, cache, output_grad: np.ndarray, params: bool = True,
                  inputs: bool = True):
@@ -127,10 +125,8 @@ class MLP:
         carries any loss scaling (e.g. 1/B).  ``params=False`` or
         ``inputs=False`` skips that part and returns None in its place.
         """
-        acts, z_last, single = cache
-        g = np.asarray(output_grad)
-        if single:
-            g = g[None, :]
+        acts, z_last = cache
+        g = output_grad
         if self.head == "tanh_pi":
             th = np.tanh(z_last)
             g = g * np.pi * (1.0 - th * th)
@@ -146,7 +142,7 @@ class MLP:
             if i > 0:
                 # ReLU subgradient: 0 at exactly 0.
                 g = g * (acts[i] > 0.0)
-        return flat, (g[0] if single else g)
+        return flat, g
 
 
 def _flatten(weights, biases) -> np.ndarray:
@@ -253,26 +249,18 @@ class FourierKernel:
         return 2 * self.B.shape[0]
 
     def features(self, x: np.ndarray):
-        """Returns (v, cache) with v of width 2k; accepts (d,) or (batch, d)."""
-        x = np.asarray(x)
-        single = x.ndim == 1
-        xb = x[None, :] if single else x
-        if xb.shape[1] != self.B.shape[1]:
-            raise ValueError(f"input width {xb.shape[1]} != {self.B.shape[1]}")
-        ang = 2.0 * np.pi * (xb @ self.B.T)
-        v = np.concatenate([np.cos(ang), np.sin(ang)], axis=1)
-        return (v[0] if single else v), (ang, single)
+        """Returns (v, cache) with v of shape (batch, 2k) for a (batch, d) input."""
+        if x.ndim != 2 or x.shape[1] != self.B.shape[1]:
+            raise ValueError(f"input shape {x.shape} != (batch, {self.B.shape[1]})")
+        ang = 2.0 * np.pi * (x @ self.B.T)
+        return np.concatenate([np.cos(ang), np.sin(ang)], axis=1), ang
 
-    def backward(self, cache, feat_grad: np.ndarray) -> np.ndarray:
-        """Gradient of the feature map with respect to its input."""
-        ang, single = cache
-        g = np.asarray(feat_grad)
-        if single:
-            g = g[None, :]
+    def backward(self, ang, feat_grad: np.ndarray) -> np.ndarray:
+        """Gradient of the feature map with respect to its (batch, d) input;
+        ``ang`` is the cache that ``features`` returned."""
         k = self.B.shape[0]
-        g_ang = -np.sin(ang) * g[:, :k] + np.cos(ang) * g[:, k:]
-        gin = 2.0 * np.pi * (g_ang @ self.B)
-        return gin[0] if single else gin
+        g_ang = -np.sin(ang) * feat_grad[:, :k] + np.cos(ang) * feat_grad[:, k:]
+        return 2.0 * np.pi * (g_ang @ self.B)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +305,10 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
 
     while off < len(raw):
         (nlen,) = struct.unpack("<I", take(4))
-        name = take(nlen).decode("utf-8")
+        try:
+            name = take(nlen).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"tensor name is not UTF-8 in {path}") from None
         (rank,) = struct.unpack("<I", take(4))
         dims = [struct.unpack("<I", take(4))[0] for _ in range(rank)]
         count = int(np.prod(dims)) if dims else 1

@@ -10,7 +10,7 @@ from irsrl import nn
 from irsrl import agent as ag
 from irsrl.agent import (AgentConfig, AgentNets, ReplayBuffer, critic_target,
                          polyak_all, select_action, update_actor, update_critics)
-from irsrl.env import EnvConfig, IrsEnv
+from irsrl.env import EnvConfig
 
 
 def tiny_cfg(**kwargs):
@@ -88,7 +88,7 @@ class TestSelectAction:
         # the ufunc clamp against the np.clip it replaced, at the +-pi edges
         class Actor:
             def forward(self, x):
-                return out, None
+                return out[None], None
 
         nets = SimpleNamespace(actor=Actor())
         rng = np.random.default_rng(6)
@@ -350,9 +350,7 @@ class TestTrain:
         """Per-episode rows (without wall time) and final tensors of a short
         run with learner updates in both episodes."""
         env_cfg = EnvConfig(m=2, n=1, w=2, episode_len=30)
-        streams = ag.seed_streams(4)
-        env = IrsEnv(env_cfg, streams["channel"], streams["motion"])
-        stats, nets = ag.train(env, tiny_cfg(critic_input="fourier"), 2, streams)
+        stats, nets = ag.train(env_cfg, tiny_cfg(critic_input="fourier"), 2, 4)
         rows = [(r.mean_reward_db, r.critic_loss, r.actor_objective, r.sigma)
                 for r in stats.rows]
         return rows, ag.checkpoint_tensors(nets)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from irsrl import config as cfgmod
-from irsrl import harness, plotting
+from irsrl import agent, harness, plotting
 from irsrl.env import IrsEnv
 from irsrl.config import ConfigError, load_config, resolve
 
@@ -116,6 +116,10 @@ class TestConfig:
     @pytest.mark.parametrize("key, value", [
         ("m", 2.5), ("episodes", 2.5), ("seeds", ["a", 1.5]),
         ("hidden", 64.0),
+        # a number must be finite; noise_var is range-checked, tx_power_dbm not
+        *((key, v) for key in ("noise_var", "tx_power_dbm")
+          for v in (float("inf"), float("-inf"), float("nan"))),
+        pytest.param("noise_var", 10**400, id="noise_var-10**400"),
     ])
     def test_rejects_wrong_type(self, key, value):
         with pytest.raises(ConfigError, match=rf"^{key} must be "):
@@ -242,14 +246,14 @@ class TestRunExperiment:
         assert any(np.isnan(r["mean_snr_db"]) for r in rows)
 
     def test_failed_seed_keeps_traceback(self, tmp_path, monkeypatch):
-        real_train_one = harness.train_one
+        real_train = agent.train
 
-        def train_one(cfg, seed):
+        def train(env_cfg, cfg, episodes, seed):
             if seed == 1:
                 raise RuntimeError("seed 1 exploded")
-            return real_train_one(cfg, seed)
+            return real_train(env_cfg, cfg, episodes, seed)
 
-        monkeypatch.setattr(harness, "train_one", train_one)
+        monkeypatch.setattr(agent, "train", train)
         cfg = resolve({**TINY, "variant": "base", "out_dir": str(tmp_path)},
                       use_env=False)
         manifest = harness.run_experiment(cfg)
@@ -267,14 +271,14 @@ class TestRunExperiment:
     @multi_cpu
     def test_dead_worker_keeps_other_seeds(self, tmp_path, monkeypatch):
         # two processes: the caller trains seeds 0 and 2, the worker 1 and 3
-        real_train_one = harness.train_one
+        real_train = agent.train
 
-        def train_one(cfg, seed):
+        def train(env_cfg, cfg, episodes, seed):
             if seed == 1:
                 os._exit(7)
-            return real_train_one(cfg, seed)
+            return real_train(env_cfg, cfg, episodes, seed)
 
-        monkeypatch.setattr(harness, "train_one", train_one)
+        monkeypatch.setattr(agent, "train", train)
         cfg = resolve({**TINY, "variant": "base", "seeds": [0, 1, 2, 3],
                        "out_dir": str(tmp_path)}, use_env=False)
         with allowed_cpus(2):
@@ -304,11 +308,11 @@ class TestSeedPool:
 
     def test_one_cpu_and_one_blas_thread_per_process(self, tmp_path, monkeypatch):
         # every seed fails with the affinity and BLAS threads its process saw
-        def train_one(cfg, seed):
+        def train(env_cfg, cfg, episodes, seed):
             raise RuntimeError(f"cpus={len(os.sched_getaffinity(0))} "
                                f"blas={[get() for get, _ in BLAS]}")
 
-        monkeypatch.setattr(harness, "train_one", train_one)
+        monkeypatch.setattr(agent, "train", train)
         cfg = resolve({**TINY, "variant": "base", "seeds": [0, 1, 2],
                        "out_dir": str(tmp_path)}, use_env=False)
         own = [get() for get, _ in BLAS]
@@ -334,10 +338,10 @@ class TestSeedPool:
     ])
     def test_joins_workers_and_restores_affinity(self, tmp_path, monkeypatch,
                                                  error, raised):
-        def train_one(cfg, seed):
+        def train(env_cfg, cfg, episodes, seed):
             raise error(f"seed {seed}")
 
-        monkeypatch.setattr(harness, "train_one", train_one)
+        monkeypatch.setattr(agent, "train", train)
         cfg = resolve({**TINY, "variant": "base", "out_dir": str(tmp_path)},
                       use_env=False)
         with pytest.raises(raised):
@@ -459,6 +463,17 @@ class TestCli:
         r = self._run("train", "--config", str(p))
         assert r.returncode == 2
         assert "m must be int" in r.stderr
+
+    @pytest.mark.parametrize("key, value", [("noise_var", float("inf")),
+                                            ("tx_power_dbm", float("nan"))])
+    def test_non_finite_exit_code(self, tmp_path, key, value):
+        # json.dumps writes Infinity and NaN, which json.load reads back
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({**TINY, "out_dir": str(tmp_path), key: value}))
+        r = self._run("train", "--config", str(p))
+        assert r.returncode == 2
+        assert r.stderr.startswith(f"config error: {key} must be ")
+        assert not (tmp_path / "ff").exists()
 
     def test_import_leaves_network_stack_unloaded(self):
         # nor the process pool, which only multi-seed runs on 2+ CPUs import

@@ -1,3 +1,6 @@
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -66,7 +69,7 @@ class TestForward:
         mlp = nn.MLP.init([3, 5, 2], np.random.default_rng(0))
         for w in mlp.weights:
             w[:] = 0.0
-        out, _ = mlp.forward(np.ones(3, dtype=np.float32))
+        out, _ = mlp.forward(np.ones((1, 3), dtype=np.float32))
         assert np.all(out == 0.0)
 
     def test_relu_definition(self):
@@ -74,8 +77,8 @@ class TestForward:
             weights=[np.eye(2, dtype=np.float32), np.eye(2, dtype=np.float32)],
             biases=[np.zeros(2, np.float32), np.zeros(2, np.float32)],
         )
-        out, _ = mlp.forward(np.array([-1.0, 2.0], dtype=np.float32))
-        assert np.allclose(out, [0.0, 2.0])
+        out, _ = mlp.forward(np.array([[-1.0, 2.0]], dtype=np.float32))
+        assert np.allclose(out, [[0.0, 2.0]])
 
     def test_matches_independent_product(self):
         # second-implementation oracle: plain matrix algebra
@@ -92,8 +95,14 @@ class TestForward:
 
     def test_rejects_nonfinite(self):
         mlp = nn.MLP.init([2, 2], np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            mlp.forward(np.array([np.nan, 1.0]))
+        with pytest.raises(ValueError, match="non-finite"):
+            mlp.forward(np.array([[np.nan, 1.0]]))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 4), (1, 3, 1)])
+    def test_rejects_other_than_batch_by_width(self, shape):
+        mlp = nn.MLP.init([3, 2], np.random.default_rng(0))
+        with pytest.raises(ValueError, match=r"!= \(batch, 3\)"):
+            mlp.forward(np.ones(shape, np.float32))
 
 
 class TestActorHead:
@@ -101,12 +110,12 @@ class TestActorHead:
         mlp = nn.MLP(
             weights=[np.eye(1)], biases=[np.zeros(1)], head="tanh_pi"
         )
-        assert mlp.forward(np.array([0.0]))[0][0] == 0.0
-        assert mlp.forward(np.array([1.0]))[0][0] == pytest.approx(
+        assert mlp.forward(np.array([[0.0]]))[0][0, 0] == 0.0
+        assert mlp.forward(np.array([[1.0]]))[0][0, 0] == pytest.approx(
             np.pi * np.tanh(1.0)
         )
-        assert mlp.forward(np.array([1.0]))[0][0] == pytest.approx(2.3926, abs=1e-4)
-        assert mlp.forward(np.array([50.0]))[0][0] == pytest.approx(np.pi)
+        assert mlp.forward(np.array([[1.0]]))[0][0, 0] == pytest.approx(2.3926, abs=1e-4)
+        assert mlp.forward(np.array([[50.0]]))[0][0, 0] == pytest.approx(np.pi)
 
     def test_range(self):
         rng = np.random.default_rng(3)
@@ -122,12 +131,12 @@ class TestBackward:
     def test_scalar_chain_rule(self):
         w = np.array([[2.0]])
         mlp = nn.MLP(weights=[w], biases=[np.zeros(1)])
-        x = np.array([3.0])
+        x = np.array([[3.0]])
         _, cache = mlp.forward(x)
-        g, xg = mlp.backward(cache, np.array([1.0]))
+        g, xg = mlp.backward(cache, np.array([[1.0]]))
         wg, bg = mlp.views(g)
         assert wg[0][0, 0] == 3.0   # dy/dw = x
-        assert xg[0] == 2.0         # dy/dx = w
+        assert xg[0, 0] == 2.0      # dy/dx = w
         assert bg[0][0] == 1.0
 
     def test_dead_relu_zero_gradient(self):
@@ -135,10 +144,10 @@ class TestBackward:
             weights=[np.array([[1.0]]), np.array([[1.0]])],
             biases=[np.array([-5.0]), np.zeros(1)],
         )
-        _, cache = mlp.forward(np.array([1.0]))  # pre-activation -4 < 0
-        g, xg = mlp.backward(cache, np.array([1.0]))
+        _, cache = mlp.forward(np.array([[1.0]]))  # pre-activation -4 < 0
+        g, xg = mlp.backward(cache, np.array([[1.0]]))
         assert mlp.views(g)[0][0][0, 0] == 0.0
-        assert xg[0] == 0.0
+        assert xg[0, 0] == 0.0
 
     @pytest.mark.parametrize("head", ["linear", "tanh_pi"])
     def test_finite_differences(self, head):
@@ -165,25 +174,31 @@ class TestBackward:
 class TestFourier:
     def test_zero_kernel(self):
         k = nn.FourierKernel(B=np.zeros((3, 2)))
-        v, _ = k.features(np.array([1.0, -2.0]))
-        assert np.allclose(v, [1, 1, 1, 0, 0, 0])
+        v, _ = k.features(np.array([[1.0, -2.0]]))
+        assert np.allclose(v, [[1, 1, 1, 0, 0, 0]])
 
     def test_half_projection(self):
         k = nn.FourierKernel(B=np.array([[0.5]]))
-        v, _ = k.features(np.array([1.0]))
-        assert np.allclose(v, [-1.0, 0.0], atol=1e-12)
+        v, _ = k.features(np.array([[1.0]]))
+        assert np.allclose(v, [[-1.0, 0.0]], atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(2,), (1, 3), (1, 2, 1)])
+    def test_rejects_other_than_batch_by_width(self, shape):
+        k = nn.FourierKernel(B=np.zeros((3, 2)))
+        with pytest.raises(ValueError, match=r"!= \(batch, 2\)"):
+            k.features(np.ones(shape))
 
     def test_norm_is_k(self):
         rng = np.random.default_rng(5)
         k = nn.FourierKernel.init(16, 7, 1.0, rng, dtype=np.float64)
         for _ in range(10):
-            v, _ = k.features(rng.standard_normal(7))
+            v, _ = k.features(rng.standard_normal((1, 7)))
             assert np.sum(v**2) == pytest.approx(16.0, abs=1e-6)
 
     def test_backward_finite_differences(self):
         rng = np.random.default_rng(6)
         kern = nn.FourierKernel.init(6, 4, 0.7, rng, dtype=np.float64)
-        x = rng.standard_normal(4)
+        x = rng.standard_normal((1, 4))
         v, cache = kern.features(x)
         r = rng.standard_normal(v.shape)
         analytic = kern.backward(cache, r)
@@ -377,6 +392,13 @@ class TestCheckpoint:
         data = p.read_bytes()
         p.write_bytes(data[: len(data) - 7])
         with pytest.raises(nn.CheckpointError):
+            nn.load_checkpoint(p)
+
+    def test_name_not_utf8(self, tmp_path):
+        p = tmp_path / "name.ckpt"
+        p.write_bytes(nn.MAGIC + struct.pack("<I", 2) + b"\xff\xfe"
+                      + struct.pack("<I", 0) + np.float32(1.0).tobytes())
+        with pytest.raises(nn.CheckpointError, match=re.escape(str(p))):
             nn.load_checkpoint(p)
 
     def test_mlp_round_trip(self, tmp_path):
