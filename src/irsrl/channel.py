@@ -78,7 +78,6 @@ class Geometry:
     irs_pos: np.ndarray = field(default_factory=lambda: np.array([10.0, 2.0, 3.0]))
     dest_cells: np.ndarray = field(default_factory=_default_dest_cells)
     cube_side: float = 20.0
-    cell_side: float = 1.0
 
     def __post_init__(self):
         self.source_pos = np.asarray(self.source_pos, dtype=float)
@@ -86,9 +85,8 @@ class Geometry:
         self.dest_cells = np.atleast_2d(np.asarray(self.dest_cells, dtype=float))
         if self.dest_cells.shape[0] < 1 or self.dest_cells.shape[1] != 3:
             raise ValueError("dest_cells must be a nonempty (n, 3) array")
-        for name in ("cube_side", "cell_side"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
+        if not self.cube_side > 0:
+            raise ValueError(f"cube_side must be > 0, got {self.cube_side!r}")
         for name, p in (("source_pos", self.source_pos), ("irs_pos", self.irs_pos)):
             if p.shape != (3,):
                 raise ValueError(f"{name} must be a 3-vector")
@@ -102,21 +100,21 @@ class Geometry:
         self.irs_dest_dist = [np.linalg.norm(self.irs_pos - c) for c in self.dest_cells]
         if not min(self.src_irs_dist, *self.irs_dest_dist) > 0:
             raise ValueError("irs_pos coincides with source_pos or a dest_cells row")
-        self.moves = [[i] + self.cell_neighbors(i) for i in range(self.num_cells)]
+        # a cell moves to itself or to a cell one grid step away along one
+        # axis; the step is the smallest gap between two cells that differ in
+        # exactly one coordinate (a single cell has no step and stays)
+        diffs = self.dest_cells[:, None] - self.dest_cells
+        dist = np.linalg.norm(diffs, axis=2)
+        one_axis = np.sum(np.abs(diffs) > 1e-9, axis=2) == 1
+        step = np.min(dist[one_axis], initial=np.inf)
+        adjacent = one_axis & (np.abs(dist - step) < 1e-9)
+        self.moves = [[i] + np.flatnonzero(a).tolist() for i, a in enumerate(adjacent)]
         self.norm_pos = self.dest_cells / self.cube_side
         self._pathloss: dict[float, tuple[list[float], float]] = {}
 
     @property
     def num_cells(self) -> int:
         return self.dest_cells.shape[0]
-
-    def cell_neighbors(self, idx: int) -> list[int]:
-        """Edge-adjacent cells (6-neighborhood at cell_side spacing)."""
-        diffs = self.dest_cells - self.dest_cells[idx]
-        dist = np.linalg.norm(diffs, axis=1)
-        axis_moves = np.sum(np.abs(diffs) > 1e-9, axis=1)
-        mask = (axis_moves == 1) & (np.abs(dist - self.cell_side) < 1e-9)
-        return [int(j) for j in np.flatnonzero(mask)]
 
     def link_pathloss_db(self, l: float) -> tuple[list[float], float]:
         """Per-cell IRS-destination and source-IRS pathloss (dB), once per l."""

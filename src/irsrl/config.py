@@ -78,7 +78,6 @@ class ExperimentConfig:
     irs_pos: list[float] | None = None
     dest_cells: list[list[float]] | None = None
     cube_side: float = 20.0
-    cell_side: float = 1.0
     # agent
     gamma: float = 0.9
     tau: float = 0.005

@@ -1,14 +1,15 @@
 """Experiment orchestration: multi-seed runs, metrics persistence, variant
 and ablation sweeps, and the signal-model verification suite.
 
-``run_experiment`` trains a run's seeds in parallel when the process may use
-more than one CPU: the caller and one forked worker per spare CPU, each
-pinned to its own CPU with one BLAS thread, train every P-th seed, and the
-caller merges the results in seed order.  Each process writes the
-checkpoints of the seeds it trained.  A process allowed on one CPU
-(``taskset -c 0``), a one-seed run, or a numpy whose BLAS is not an
-OpenBLAS trains the seeds one after another in the caller.  Both paths
-write the same bytes, except for the wall_s column of metrics.csv.
+``run_experiment`` holds one OpenBLAS thread for the whole run.  It trains
+a run's seeds in parallel when the process may use more than one CPU: the
+caller and one forked worker per spare CPU, each pinned to its own CPU,
+train every P-th seed, and the caller merges the results in seed order.
+Each process writes the checkpoints of the seeds it trained.  A process
+allowed on one CPU (``taskset -c 0``), a one-seed run, or a numpy whose
+BLAS is not an OpenBLAS trains the seeds one after another in the caller.
+Both paths write the same bytes, except for the wall_s column of
+metrics.csv.
 """
 
 from __future__ import annotations
@@ -91,21 +92,17 @@ def _openblas_thread_controls() -> list:
     return controls
 
 
-def _train_pooled(cfg: ExperimentConfig, out: str, cpus: list[int],
-                  blas: list) -> dict:
+def _train_pooled(cfg: ExperimentConfig, out: str, cpus: list[int]) -> dict:
     """Train cfg.seeds over one process per CPU in ``cpus``; returns
     {seed: _train_seed result}.
 
     Process k trains ``seeds[k::P]`` pinned to ``cpus[k]``: the caller is
     process 0, the others are forked before the caller starts any thread.
     A pinned process sees one CPU, so ``agent.train`` starts no twin-critic
-    thread in it.  Each process also runs one BLAS thread (``blas`` are the
-    (get, set) controls): two OpenBLAS threads that share one CPU busy-wait
-    on each other, and a desk-size matmul (64x128 by 128x128) then took
-    16 ms instead of 37 us on a 2-core host.
+    thread in it, and the workers inherit the caller's one BLAS thread.
     Every seed of a worker that dies before reporting it is recorded as
-    failed.  Every worker is joined, and the caller's affinity and BLAS
-    threads restored, before this returns or raises.
+    failed.  Every worker is joined, and the caller's affinity restored,
+    before this returns or raises.
     """
     import multiprocessing  # about 15 ms: only runs with spare CPUs pay it
 
@@ -114,12 +111,9 @@ def _train_pooled(cfg: ExperimentConfig, out: str, cpus: list[int],
     ctx = multiprocessing.get_context("fork")
     n = len(cpus)
     own_cpus = os.sched_getaffinity(0)
-    own_threads = [get() for get, _ in blas]
     workers = []
     results = {}
     try:
-        for _, put in blas:  # before the fork, so the workers inherit it
-            put(1)
         for k in range(1, n):
             recv, send = ctx.Pipe(duplex=False)
             proc = ctx.Process(target=_pool_worker,
@@ -148,18 +142,18 @@ def _train_pooled(cfg: ExperimentConfig, out: str, cpus: list[int],
                 proc.kill()
             proc.join()
         os.sched_setaffinity(0, own_cpus)
-        for (_, put), threads in zip(blas, own_threads):
-            put(threads)
     return results
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run every seed of cfg.variant; writes metrics.csv, checkpoints, manifest.
 
-    With more than one seed and more than one allowed CPU the seeds are
-    trained in parallel, one pinned process per CPU (``_train_pooled``), if
-    numpy's BLAS is an OpenBLAS; outputs are byte-identical to the serial
-    run except the wall_s column.
+    An OpenBLAS runs one thread while the seeds train, on every path: two
+    OpenBLAS threads on one CPU busy-wait on each other, and a second thread
+    slowed serial desk and paper runs.  With more than one seed and more
+    than one allowed CPU the seeds are trained in parallel, one pinned
+    process per CPU (``_train_pooled``), if numpy's BLAS is an OpenBLAS;
+    outputs are byte-identical to the serial run except the wall_s column.
     Per-seed failures are recorded in the manifest (status under "seeds", the
     traceback under "tracebacks"); raises RunError only when every seed fails.
     Returns the manifest dict.
@@ -171,12 +165,19 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         cpus = sorted(os.sched_getaffinity(0))[:len(cfg.seeds)]
     except AttributeError:  # no affinity call on this platform
         cpus = []
-    # a BLAS whose threads cannot be limited would oversubscribe the CPUs
-    blas = _openblas_thread_controls() if len(cpus) > 1 else []
-    if blas:
-        results = _train_pooled(cfg, out, cpus, blas)
-    else:
-        results = {seed: _train_seed(cfg, out, seed) for seed in cfg.seeds}
+    blas = _openblas_thread_controls()
+    own_threads = [get() for get, _ in blas]
+    try:
+        for _, put in blas:  # before any fork, so the workers inherit it
+            put(1)
+        # a BLAS whose threads cannot be limited would oversubscribe the CPUs
+        if blas and len(cpus) > 1:
+            results = _train_pooled(cfg, out, cpus)
+        else:
+            results = {seed: _train_seed(cfg, out, seed) for seed in cfg.seeds}
+    finally:
+        for (_, put), threads in zip(blas, own_threads):
+            put(threads)
 
     lines = [METRICS_HEADER]
     seed_status: dict[str, str] = {}

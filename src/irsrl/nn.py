@@ -326,10 +326,25 @@ def mlp_tensors(prefix: str, mlp: MLP) -> dict[str, np.ndarray]:
 
 
 def mlp_from_tensors(prefix: str, tensors: dict[str, np.ndarray], head: str) -> MLP:
+    """The MLP stored under ``prefix``; raises CheckpointError naming the
+    network and the tensor when the tensors do not form one."""
     ws, bs, i = [], [], 0
-    while f"{prefix}.w{i}" in tensors:
-        ws.append(tensors[f"{prefix}.w{i}"])
-        bs.append(tensors[f"{prefix}.b{i}"])
+    while (wname := f"{prefix}.w{i}") in tensors:
+        bname = f"{prefix}.b{i}"
+        w, b = tensors[wname], tensors.get(bname)
+        if w.ndim != 2:
+            raise CheckpointError(f"network {prefix!r}: {wname} has shape {w.shape}, "
+                                  f"not (in, out)")
+        if ws and w.shape[0] != ws[-1].shape[1]:
+            raise CheckpointError(f"network {prefix!r}: {wname} takes {w.shape[0]} "
+                                  f"inputs, but the layer before gives {ws[-1].shape[1]}")
+        if b is None:
+            raise CheckpointError(f"network {prefix!r}: {bname} is missing")
+        if b.shape != (w.shape[1],):
+            raise CheckpointError(f"network {prefix!r}: {bname} has shape {b.shape}, "
+                                  f"not ({w.shape[1]},)")
+        ws.append(w)
+        bs.append(b)
         i += 1
     if not ws:
         raise CheckpointError(f"no tensors with prefix {prefix!r}")

@@ -89,19 +89,40 @@ class TestMoveDestination:
         assert np.all(np.abs(counts / counts.sum() - 0.25) < 0.02)
 
 
-def grid_3x3():
-    # 3 x 3 x 1 block of unit cells: 4 corners, 4 edge cells, 1 centre (4)
+def grid_3x3(spacing=1.0):
+    # 3 x 3 x 1 block of cells `spacing` m apart: 4 corners, 4 edge cells,
+    # 1 centre (4)
     return ch.Geometry(dest_cells=np.array(
-        [[14.5 + x, 14.5 + y, 0.5] for y in range(3) for x in range(3)]))
+        [[14.5 + spacing * x, 14.5 + spacing * y, 0.5]
+         for y in range(3) for x in range(3)]))
+
+
+def cell_neighbors(g, cell):
+    """The cells one grid step from ``cell`` along one axis, pair by pair;
+    the step is the smallest gap between two cells that differ in exactly
+    one coordinate."""
+    def axis_gap(a, b):  # |a - b| when a and b differ in one coordinate only
+        gaps = [abs(x - y) for x, y in zip(a, b) if abs(x - y) > 1e-9]
+        return gaps[0] if len(gaps) == 1 else None
+
+    cells = g.dest_cells.tolist()
+    gaps = [axis_gap(a, b) for a in cells for b in cells]
+    step = min((d for d in gaps if d is not None), default=None)
+    return [j for j, b in enumerate(cells)
+            if (d := axis_gap(cells[cell], b)) is not None and abs(d - step) < 1e-9]
 
 
 class TestMoveTable:
     def test_matches_cell_neighbors(self):
-        g = grid_3x3()
-        for i in range(g.num_cells):
-            assert g.moves[i] == [i] + g.cell_neighbors(i)
-        assert [len(g.moves[i]) for i in (0, 1, 4)] == [3, 4, 5]
-        assert sorted(g.moves[4]) == [1, 3, 4, 5, 7]
+        # the grid step comes from the cells, so every spacing moves the
+        # corner, edge and centre cells to their adjacent cells
+        for spacing in (1.0, 0.5, 0.25):
+            g = grid_3x3(spacing)
+            for i in range(g.num_cells):
+                assert g.moves[i] == [i] + cell_neighbors(g, i)
+            assert g.moves[0] == [0, 1, 3]
+            assert g.moves[1] == [1, 0, 2, 4]
+            assert g.moves[4] == [4, 1, 3, 5, 7]
 
     def test_centre_cell_distribution(self):
         g = grid_3x3()
@@ -158,7 +179,7 @@ def reference_episodes(cfg, seed, actions, episodes):
             theta = np.clip(theta + a, -np.pi, np.pi)
             h, G = sample(cell, sh, ph)
             prev_db = snr_db(h, theta, G)
-            options = [cell] + g.cell_neighbors(cell)
+            options = [cell] + cell_neighbors(g, cell)
             window = [(cell, theta.copy())] + window[:-1]
             cell = int(options[rm.integers(len(options))])
             yield state(cell, window, prev_db), prev_db, h, G, theta

@@ -97,8 +97,7 @@ class TestConfig:
         ("lr", 0.0), ("hidden", 0), ("n_hidden_layers", 0), ("buffer", 0),
         ("expl_sigma0", -0.1), ("expl_decay", 0.0), ("warmup_steps", -1),
         ("sigma_b2", 0.0), ("k_fourier", 0), ("reward_scale", 0.0),
-        ("act_reg", -0.1), ("cube_side", 0.0), ("cube_side", -1.0),
-        ("cell_side", 0.0), ("cell_side", -1.0), ("buffer", 10),
+        ("act_reg", -0.1), ("cube_side", 0.0), ("cube_side", -1.0), ("buffer", 10),
         ("seeds", [-1]), ("seeds", [0, 0]),
     ])
     def test_rejects_out_of_range(self, key, value):
@@ -152,6 +151,9 @@ class TestConfig:
     def test_rejects_unknown_key(self):
         with pytest.raises(ConfigError, match="not_a_key"):
             resolve({"not_a_key": 1}, use_env=False)
+        # the grid step is worked out from dest_cells
+        with pytest.raises(ConfigError, match="unknown config key.*cell_side"):
+            resolve({"cell_side": 1.0}, use_env=False)
 
     def test_round_trip(self, tmp_path):
         # the config saved in manifest.json is the config that ran
@@ -307,27 +309,33 @@ class TestSeedPool:
         assert pooled[2] == {"0": "ok", "1": "ok", "2": "ok"}
 
     def test_one_cpu_and_one_blas_thread_per_process(self, tmp_path, monkeypatch):
-        # every seed fails with the affinity and BLAS threads its process saw
+        # every seed fails with the affinity and BLAS threads its process saw:
+        # pooled, a one-seed run, and three seeds on one allowed CPU
         def train(env_cfg, cfg, episodes, seed):
             raise RuntimeError(f"cpus={len(os.sched_getaffinity(0))} "
                                f"blas={[get() for get, _ in BLAS]}")
 
         monkeypatch.setattr(agent, "train", train)
-        cfg = resolve({**TINY, "variant": "base", "seeds": [0, 1, 2],
-                       "out_dir": str(tmp_path)}, use_env=False)
+        all_cpus = len(ALLOWED_CPUS)
         own = [get() for get, _ in BLAS]
         try:
-            for _, put in BLAS:
-                put(2)
-            with pytest.raises(harness.RunError):
-                harness.run_experiment(cfg)
-            assert [get() for get, _ in BLAS] == [2] * len(BLAS)
+            for seeds, cpus, seen in (([0, 1, 2], all_cpus, 1),
+                                      ([0], all_cpus, all_cpus),
+                                      ([0, 1, 2], 1, 1)):
+                out = tmp_path / f"{len(seeds)}seeds-{cpus}cpus"
+                cfg = resolve({**TINY, "variant": "base", "seeds": seeds,
+                               "out_dir": str(out)}, use_env=False)
+                for _, put in BLAS:
+                    put(2)
+                with allowed_cpus(cpus), pytest.raises(harness.RunError):
+                    harness.run_experiment(cfg)
+                assert [get() for get, _ in BLAS] == [2] * len(BLAS)
+                saved = json.loads((out / "base" / "manifest.json").read_text())
+                one = f"failed: cpus={seen} blas={[1] * len(BLAS)}"
+                assert saved["seeds"] == {str(s): one for s in seeds}
         finally:
             for (_, put), threads in zip(BLAS, own):
                 put(threads)
-        saved = json.loads((tmp_path / "base" / "manifest.json").read_text())
-        one = f"failed: cpus=1 blas={[1] * len(BLAS)}"
-        assert saved["seeds"] == {"0": one, "1": one, "2": one}
 
     class Abort(BaseException):
         """Escapes run_experiment's per-seed isolation."""

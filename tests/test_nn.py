@@ -401,6 +401,20 @@ class TestCheckpoint:
         with pytest.raises(nn.CheckpointError, match=re.escape(str(p))):
             nn.load_checkpoint(p)
 
+    @pytest.mark.parametrize("shapes, tensor", [
+        # the first bias does not fit w0, whose outputs w1 does not take
+        ({"a.w0": (4, 3), "a.b0": (5,), "a.w1": (5, 2), "a.b1": (2,)}, "a.b0"),
+        ({"a.w0": (4, 3), "a.w1": (3, 2), "a.b1": (2,)}, "a.b0"),  # missing
+        ({"a.w0": (4,), "a.b0": (4,)}, "a.w0"),  # not 2-D
+        ({"a.w0": (4, 3), "a.b0": (3, 1)}, "a.b0"),  # not 1-D
+        ({"a.w0": (4, 3), "a.b0": (3,), "a.w1": (5, 2), "a.b1": (2,)}, "a.w1"),
+    ])
+    def test_mlp_from_malformed_tensors(self, shapes, tensor):
+        tensors = {k: np.zeros(shape, np.float32) for k, shape in shapes.items()}
+        with pytest.raises(nn.CheckpointError,
+                           match=rf"^network 'a': {re.escape(tensor)} "):
+            nn.mlp_from_tensors("a", tensors, head="linear")
+
     def test_mlp_round_trip(self, tmp_path):
         rng = np.random.default_rng(11)
         mlp = nn.MLP.init([5, 8, 2], rng, head="tanh_pi")
