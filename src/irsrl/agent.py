@@ -314,8 +314,7 @@ class EpisodeStats:
 @dataclass
 class TrainStats:
     rows: list[EpisodeStats] = field(default_factory=list)
-    diverged: bool = False
-    divergence_note: str = ""
+    divergence_note: str = ""  # set when training stopped on a non-finite value
 
 
 def seed_streams(seed: int) -> dict[str, np.random.Generator]:
@@ -344,8 +343,8 @@ def train(env_cfg: EnvConfig, cfg: AgentConfig, episodes: int,
     episodes, seed).
 
     The env and the networks draw from ``seed_streams(seed)``.  On divergence
-    the loop stops, flags the stats, and returns the last end-of-episode
-    networks.
+    the loop stops, sets ``divergence_note`` (that episode's row has NaN
+    means), and returns the last end-of-episode networks.
     """
     streams = seed_streams(seed)
     env = IrsEnv(env_cfg, streams["channel"], streams["motion"])
@@ -393,22 +392,19 @@ def train(env_cfg: EnvConfig, cfg: AgentConfig, episodes: int,
                         closses.append(0.5 * (l1 + l2))
                         aobjs.append(aobj)
             except nn.NonFiniteError as e:
-                stats.diverged = True
                 stats.divergence_note = f"episode {ep}: {e}"
-                stats.rows.append(EpisodeStats(
-                    episode=ep, mean_reward_db=float("nan"),
-                    critic_loss=float("nan"), actor_objective=float("nan"),
-                    sigma=sigma, wall_s=time.perf_counter() - t0))
-                return stats, last_good
+                rewards = closses = aobjs = []  # its means are NaN
 
             stats.rows.append(EpisodeStats(
                 episode=ep,
-                mean_reward_db=float(np.mean(rewards)),
+                mean_reward_db=float(np.mean(rewards)) if rewards else float("nan"),
                 critic_loss=float(np.mean(closses)) if closses else float("nan"),
                 actor_objective=float(np.mean(aobjs)) if aobjs else float("nan"),
                 sigma=sigma,
                 wall_s=time.perf_counter() - t0,
             ))
+            if stats.divergence_note:
+                return stats, last_good
             sigma *= cfg.expl_decay
             last_good = nets.copy()
     return stats, nets

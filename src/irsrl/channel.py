@@ -50,6 +50,14 @@ class ChannelParams:
         for name in ("multipath_std", "shadow_power", "phase_drift"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+        try:
+            usable = self.tx_power_linear > 0
+        except OverflowError:
+            usable = False
+        if not usable:
+            raise ValueError(f"tx_power_dbm must be a level whose power "
+                             f"10 ** (dBm / 10) mW is finite and > 0, "
+                             f"got {self.tx_power_dbm!r}")
 
     @property
     def tx_power_linear(self) -> float:

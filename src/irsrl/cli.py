@@ -1,9 +1,12 @@
 """Command-line interface.
 
 Subcommands: train, compare, plot, oracle-check.
-Exit codes: 0 success, 2 config error, 3 run or I/O failure (every seed
-failed, or a file could not be read, parsed or written), 4 oracle-check
-failure.
+Exit codes: 0 success, 2 config error (``ConfigError``, printed as
+``config error: ...``), 3 run or I/O failure (``RunError``: every seed
+failed; ``MetricsError``: a metrics CSV that cannot be used, named in the
+message; ``OSError``: a file could not be read or written; printed as
+``error: ...``), 4 oracle-check failure.  ``main`` maps each error to its
+code in one place.
 """
 
 from __future__ import annotations
@@ -42,16 +45,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-
-    if args.command == "plot":
-        try:
-            plotting.plot_curves(args.inputs, args.out)
-        except (plotting.MetricsError, OSError) as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 3
-        return 0
-
     try:
+        if args.command == "plot":
+            plotting.plot_curves(args.inputs, args.out)
+            return 0
         cfg = cfgmod.load_config(args.config)
         if args.command == "train":
             if args.variant:
@@ -60,25 +57,16 @@ def main(argv=None) -> int:
                 cfg = replace(cfg, seeds=[args.seed])
             if args.out:
                 cfg = replace(cfg, out_dir=args.out)
-    except (cfgmod.ConfigError, ValueError) as e:  # replace() re-validates
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-
-    try:
-        if args.command == "train":
             manifest = harness.run_experiment(cfg)
             print(f"wrote {manifest['metrics']}")
-            return 0
-        if args.command == "compare":
+        elif args.command == "compare":
             harness.compare_variants(cfg, args.sweep)
-            return 0
-        if args.command == "oracle-check":
-            results = harness.oracle_check(cfg)
-            return 0 if all(results.values()) else 4
+        elif not all(harness.oracle_check(cfg).values()):  # oracle-check
+            return 4
     except cfgmod.ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (harness.RunError, OSError) as e:
+    except (harness.RunError, plotting.MetricsError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     return 0

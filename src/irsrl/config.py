@@ -51,7 +51,8 @@ class ExperimentConfig:
     ``ChannelParams``, ``Geometry``, ``EnvConfig`` or ``AgentConfig`` feeds
     that field and its range is checked there.  Here every key's type is
     checked against its annotation, and the range of the keys that no
-    component owns."""
+    component owns; either failure is a ``ConfigError``, also from
+    ``dataclasses.replace``."""
 
     preset: str = "desk"
     variant: str = "ff"
@@ -98,18 +99,18 @@ class ExperimentConfig:
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             if not _conforms(value, _HINTS[f.name]):
-                raise TypeError(f"{f.name} must be {f.type}, got {value!r}")
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
         if self.preset not in PRESETS:
-            raise ValueError(f"preset must be one of {PRESETS}, got {self.preset!r}")
+            raise ConfigError(f"preset must be one of {PRESETS}, got {self.preset!r}")
         if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+            raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         # a repeated seed would write its rows and checkpoint twice
         s = self.seeds
         if not s or min(s) < 0 or len(set(s)) < len(s):
-            raise ValueError(f"seeds must be a nonempty list of distinct integers "
-                             f">= 0, got {s!r}")
+            raise ConfigError(f"seeds must be a nonempty list of distinct integers "
+                              f">= 0, got {s!r}")
         if not self.episodes >= 1:
-            raise ValueError(f"episodes must be >= 1, got {self.episodes!r}")
+            raise ConfigError(f"episodes must be >= 1, got {self.episodes!r}")
 
 
 def _conforms(value, tp) -> bool:
@@ -176,11 +177,11 @@ def resolve(overrides: dict, use_env: bool = True) -> ExperimentConfig:
     # their merged "preset" value
     if merged.get("preset", "desk") == "paper":
         merged = {**_PAPER_OVERRIDES, **merged}
+    cfg = ExperimentConfig(**merged)
     try:
-        cfg = ExperimentConfig(**merged)
         env_config(cfg)
         agent_config(cfg)
-    except (ValueError, TypeError) as e:
+    except ValueError as e:
         raise ConfigError(str(e)) from None
     return cfg
 

@@ -49,7 +49,7 @@ def _train_seed(cfg: ExperimentConfig, out: str, seed: int):
                            agent.checkpoint_tensors(nets))
     except Exception as e:  # noqa: BLE001 - per-seed isolation
         return f"failed: {e}", traceback.format_exc(), []
-    status = f"diverged ({stats.divergence_note})" if stats.diverged else "ok"
+    status = f"diverged ({stats.divergence_note})" if stats.divergence_note else "ok"
     return status, None, [_fmt_row(seed, row) for row in stats.rows]
 
 
@@ -213,10 +213,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 def final_performance(metrics_path, last: int = 10) -> float:
     """Mean reward over the last `last` episodes, averaged over seeds."""
     rows = plotting.read_metrics(metrics_path)
-    max_ep = max(int(r["episode"]) for r in rows)
-    cut = max_ep - last + 1
+    cut = max(r["episode"] for r in rows) - last + 1
     vals = [r["mean_snr_db"] for r in rows
-            if int(r["episode"]) >= cut and np.isfinite(r["mean_snr_db"])]
+            if r["episode"] >= cut and np.isfinite(r["mean_snr_db"])]
     if not vals:
         return float("nan")
     return float(np.mean(vals))

@@ -2,6 +2,8 @@
 
 No plotting library: the output is plain-text SVG (polyline per mean curve,
 polygon per min-max band), a pure function of the input files.
+``read_metrics`` is the one check of a metrics file's format; it and
+``plot_curves`` raise ``MetricsError`` naming the file at fault.
 """
 
 from __future__ import annotations
@@ -17,38 +19,42 @@ PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 
 class MetricsError(Exception):
-    """Empty or malformed metrics CSV."""
+    """Empty, malformed or not UTF-8 metrics CSV, or one with no finite
+    point to plot."""
 
 
 def read_metrics(path) -> list[dict]:
-    """Rows of a metrics.csv as dicts with float fields; the header must
-    name ``episode`` and ``mean_snr_db``."""
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        missing = {"episode", "mean_snr_db"} - set(reader.fieldnames or ())
-        if missing:
-            raise MetricsError(f"{path}: header lacks {', '.join(sorted(missing))}")
-        rows = []
-        for row in reader:
-            try:
-                rows.append({k: float(v) for k, v in row.items()})
-            except (TypeError, ValueError) as e:
-                raise MetricsError(f"{path}: bad row {row}: {e}")
+    """Rows of a UTF-8 metrics.csv as dicts with float fields and an int
+    ``episode``; the header must name ``episode`` and ``mean_snr_db``."""
+    try:
+        with open(path, newline="", encoding="utf-8") as f:
+            reader = csv.DictReader(f)
+            missing = {"episode", "mean_snr_db"} - set(reader.fieldnames or ())
+            if missing:
+                raise MetricsError(f"{path}: header lacks {', '.join(sorted(missing))}")
+            rows = []
+            for row in reader:
+                try:
+                    rows.append({k: float(v) for k, v in row.items()}
+                                | {"episode": int(row["episode"])})
+                except (TypeError, ValueError) as e:
+                    raise MetricsError(f"{path}: bad row {row}: {e}")
+    except UnicodeDecodeError as e:
+        raise MetricsError(f"{path} is not valid UTF-8: {e.reason} at byte {e.start}")
     if not rows:
         raise MetricsError(f"{path}: no data rows")
     return rows
 
 
 def curve_stats(rows: list[dict]):
-    """Per-episode (mean, min, max) of mean_snr_db over seeds, NaN rows excluded."""
+    """Per-episode (mean, min, max) of mean_snr_db over seeds, NaN rows
+    excluded; four empty lists when no row is finite."""
     by_ep: dict[int, list[float]] = {}
     for row in rows:
         v = row["mean_snr_db"]
         if math.isnan(v):
             continue
-        by_ep.setdefault(int(row["episode"]), []).append(v)
-    if not by_ep:
-        raise MetricsError("no finite data points")
+        by_ep.setdefault(row["episode"], []).append(v)
     eps = sorted(by_ep)
     mean = [sum(by_ep[e]) / len(by_ep[e]) for e in eps]
     lo = [min(by_ep[e]) for e in eps]
@@ -67,8 +73,10 @@ def plot_curves(metrics_paths, out_path, labels=None) -> None:
         raise MetricsError("no metrics files given")
     series = []
     for i, p in enumerate(paths):
-        label = labels[i] if labels else str(p)
-        series.append((label, curve_stats(read_metrics(p))))
+        stats = curve_stats(read_metrics(p))
+        if not stats[0]:
+            raise MetricsError(f"{p}: no finite data points")
+        series.append((labels[i] if labels else str(p), stats))
 
     all_x = [e for _, (eps, *_rest) in series for e in eps]
     all_y = [v for _, (_, mean, lo, hi) in series for v in mean + lo + hi]

@@ -89,7 +89,8 @@ class TestConfig:
             resolve({"gamma": 1.5}, use_env=False)
 
     @pytest.mark.parametrize("key, value", [
-        ("preset", "huge"), ("variant", "td3"), ("seeds", []), ("episodes", 0),
+        ("preset", "huge"), ("variant", "td3"),
+        pytest.param("seeds", [], id="seeds-empty"), ("episodes", 0),
         ("episode_len", 0), ("m", 0), ("n", 0), ("w", 0),
         ("pathloss_exp", 0.0), ("multipath_std", -0.1), ("shadow_power", -1.0),
         ("corr_distance", 0.0), ("corr_time", 0.0), ("phase_drift", -0.1),
@@ -98,7 +99,10 @@ class TestConfig:
         ("expl_sigma0", -0.1), ("expl_decay", 0.0), ("warmup_steps", -1),
         ("sigma_b2", 0.0), ("k_fourier", 0), ("reward_scale", 0.0),
         ("act_reg", -0.1), ("cube_side", 0.0), ("cube_side", -1.0), ("buffer", 10),
-        ("seeds", [-1]), ("seeds", [0, 0]),
+        pytest.param("seeds", [-1], id="seeds-negative"),
+        pytest.param("seeds", [0, 0], id="seeds-repeated"),
+        # 10 ** (dBm / 10) mW overflows or is 0
+        ("tx_power_dbm", 4000), ("tx_power_dbm", -4000),
     ])
     def test_rejects_out_of_range(self, key, value):
         # the key must appear as a word of its own
@@ -113,7 +117,8 @@ class TestConfig:
             load_config(p)
 
     @pytest.mark.parametrize("key, value", [
-        ("m", 2.5), ("episodes", 2.5), ("seeds", ["a", 1.5]),
+        ("m", 2.5), ("episodes", 2.5),
+        pytest.param("seeds", ["a", 1.5], id="seeds-not-int"),
         ("hidden", 64.0),
         # a number must be finite; noise_var is range-checked, tx_power_dbm not
         *((key, v) for key in ("noise_var", "tx_power_dbm")
@@ -245,7 +250,10 @@ class TestRunExperiment:
         # both seeds hit the injected NaN but the run completes
         assert all(v.startswith("diverged") for v in manifest["seeds"].values())
         rows = plotting.read_metrics(tmp_path / "base" / "metrics.csv")
-        assert any(np.isnan(r["mean_snr_db"]) for r in rows)
+        for seed in (0, 1):
+            last = [r for r in rows if r["seed"] == seed][-1]
+            assert all(np.isnan(last[k]) for k in ("mean_snr_db", "critic_loss",
+                                                    "actor_obj"))
 
     def test_failed_seed_keeps_traceback(self, tmp_path, monkeypatch):
         real_train = agent.train
@@ -473,7 +481,10 @@ class TestCli:
         assert "m must be int" in r.stderr
 
     @pytest.mark.parametrize("key, value", [("noise_var", float("inf")),
-                                            ("tx_power_dbm", float("nan"))])
+                                            ("tx_power_dbm", float("nan")),
+                                            # a power in mW that overflows or is 0
+                                            ("tx_power_dbm", 4000),
+                                            ("tx_power_dbm", -4000)])
     def test_non_finite_exit_code(self, tmp_path, key, value):
         # json.dumps writes Infinity and NaN, which json.load reads back
         p = tmp_path / "bad.json"
@@ -543,6 +554,35 @@ class TestCli:
         assert r.returncode == 2
         assert r.stderr.startswith("config error:") and str(p) in r.stderr
         assert len(r.stderr.strip().splitlines()) == 1
+
+    def test_plot_not_utf8_exit_code(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_bytes(b"\xff\xfe" + harness.METRICS_HEADER.encode() + b"\n")
+        r = self._run("plot", "--in", str(p), "--out", str(tmp_path / "out.svg"))
+        assert r.returncode == 3
+        assert r.stderr.strip().splitlines()[-1].startswith(f"error: {p} ")
+
+    @pytest.mark.parametrize("episode", ["nan", "inf", "1.5"])
+    def test_plot_non_integer_episode_exit_code(self, tmp_path, episode):
+        p = tmp_path / "m.csv"
+        p.write_text(f"{harness.METRICS_HEADER}\n0,{episode},30.0,0.0,0.0,0.1,0.0\n")
+        r = self._run("plot", "--in", str(p), "--out", str(tmp_path / "out.svg"))
+        assert r.returncode == 3
+        assert r.stderr.strip().splitlines()[-1].startswith(f"error: {p}: bad row")
+
+    def test_compare_all_diverged_exit_code(self, tmp_path):
+        # every setting diverges in episode 0, so no metrics file has a
+        # finite point to plot
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({
+            "lr": 1e30, "episodes": 1, "episode_len": 20, "warmup_steps": 2,
+            "batch": 2, "buffer": 10, "seeds": [0], "m": 2, "n": 1, "hidden": 4,
+            "k_fourier": 4, "out_dir": str(tmp_path)}))
+        r = self._run("compare", "--config", str(p), "--sweep", "window")
+        assert r.returncode == 3
+        last = r.stderr.strip().splitlines()[-1]
+        assert last.startswith(f"error: {tmp_path}") and (
+            "metrics.csv: no finite data points" in last)
 
     def test_plot_missing_input_exit_code(self, tmp_path):
         r = self._run("plot", "--in", str(tmp_path / "missing.csv"),
