@@ -1,12 +1,10 @@
 """Command-line interface.
 
 Subcommands: train, compare, plot, oracle-check.
-Exit codes: 0 success, 2 config error (``ConfigError``, printed as
-``config error: ...``), 3 run or I/O failure (``RunError``: every seed
-failed; ``MetricsError``: a metrics CSV that cannot be used, named in the
-message; ``OSError``: a file could not be read or written; printed as
-``error: ...``), 4 oracle-check failure.  ``main`` maps each error to its
-code in one place.
+Exit codes, mapped in ``main`` alone: 0 success; 2 ``ConfigError``, printed
+as ``config error: ...``; 3 ``RunError`` (every seed failed), ``MetricsError``
+(a metrics CSV that cannot be used, named) or ``OSError``, printed as
+``error: ...``; 4 oracle-check failure.
 """
 
 from __future__ import annotations

@@ -2,8 +2,6 @@
 
 No plotting library: the output is plain-text SVG (polyline per mean curve,
 polygon per min-max band), a pure function of the input files.
-``read_metrics`` is the one check of a metrics file's format; it and
-``plot_curves`` raise ``MetricsError`` naming the file at fault.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 class MetricsError(Exception):
     """Empty, malformed or not UTF-8 metrics CSV, or one with no finite
-    point to plot."""
+    point to plot; the message names the file."""
 
 
 def read_metrics(path) -> list[dict]:
