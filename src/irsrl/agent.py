@@ -8,14 +8,21 @@ smoothing; the minimum of the two main critics drives the policy update.
 When the Fourier critic is enabled, the state-action vector is mapped through
 one shared random Fourier kernel before the critic MLPs.
 
-The twin critics meet only at the two minima, so each learner step splits
-into one half per critic: critic1's half runs on the calling thread and
-critic2's on a worker thread that ``train`` starts and joins, and the two
-join where the math needs both (``_twin``).  The halves run the same array
-operations as one thread would, so results are byte-identical either way.
-Critics smaller than ``TWIN_MIN_PARAMS`` parameters, and processes allowed on
-one CPU only, run both halves on the calling thread, where the hand-off would
-cost more than the second core saves.
+``learner_step`` runs one update in stages of two halves each (``_twin``):
+the first half on the calling thread, the second on a worker thread that
+``train`` starts and joins.  By stage, calling thread | worker:
+  1. target actor on s', the target and batch critic inputs | actor on s and
+     its critic input (the actor does not move until stage 6);
+  2-4. target critic1, critic1's step, critic1's forward and input gradient
+     at (s, pi(s)) | the same for critic2;
+  5. the actor's backward | Polyak averages of both critics' targets;
+  6. Adam step and target average of the first half of the actor's flat
+     parameters | of the second half.
+The halves run the same array operations as one thread would, so results
+are byte-identical either way.  Critics smaller than ``TWIN_MIN_PARAMS``
+parameters, and processes allowed on one CPU only, run both halves on the
+calling thread, in order, where the hand-off would cost more than the
+second core saves.
 
 The task is continuing (episodes are time limits only), so the bootstrap is
 never terminal-masked.
@@ -26,7 +33,6 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -182,23 +188,25 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _twin(pool, f, args1, args2):
-    """(f(*args1), f(*args2)): one half of a twin-critic step per critic.
+def _twin(pool, first, second):
+    """(f1(*args1), f2(*args2)) for first = (f1, *args1) and second = (f2, *args2):
+    the two halves of one stage of a learner step.
 
     With a one-thread ``pool`` the second half runs on its worker while this
     thread runs the first; with None the halves run here, in order.  An
     exception from either half is raised only after both halves have
     finished, the first half's if both raise.
     """
+    (f1, *args1), (f2, *args2) = first, second
     if pool is None:
-        return f(*args1), f(*args2)
-    second = pool.submit(f, *args2)
+        return f1(*args1), f2(*args2)
+    later = pool.submit(f2, *args2)
     try:
-        first = f(*args1)
+        result = f1(*args1)
     except BaseException:
-        second.exception()  # waits for the second half
+        later.exception()  # waits for the second half
         raise
-    return first, second.result()
+    return result, later.result()
 
 
 def select_action(nets: AgentNets, state: np.ndarray, sigma: float,
@@ -214,14 +222,27 @@ def select_action(nets: AgentNets, state: np.ndarray, sigma: float,
     return np.minimum(np.maximum(a, -np.pi), np.pi)
 
 
-def critic_target(nets: AgentNets, rewards: np.ndarray, next_states: np.ndarray,
-                  gamma: float, pool=None) -> np.ndarray:
+def _target_inputs(nets: AgentNets, s: np.ndarray, a: np.ndarray, s2: np.ndarray):
+    """(x2, x): the target critics' input (with its Fourier cache) for
+    (s', pi'(s')), and the critics' input for the batch's (s, a)."""
+    a2, _ = nets.target_actor.forward(s2)
+    return nets.critic_input(s2, a2), nets.critic_input(s, a)[0]
+
+
+def _policy_input(nets: AgentNets, s: np.ndarray):
+    """(a, actor cache, x, Fourier cache): the actor's actions on s and the
+    critics' input for (s, a)."""
+    a, acache = nets.actor.forward(s)
+    return (a, acache) + nets.critic_input(s, a)
+
+
+def critic_target(nets: AgentNets, rewards: np.ndarray, x2, gamma: float,
+                  pool=None) -> np.ndarray:
     """The shared clipped target r + gamma * min(Q'_1, Q'_2)(s', pi'(s')) that
-    both critics regress toward; no terminal masking (continuing task)."""
-    a_next, _ = nets.target_actor.forward(next_states)
-    x, fcache = nets.critic_input(next_states, a_next)
-    (q1, _), (q2, _) = _twin(pool, _critic_q, (nets.target_critic1, x, fcache),
-                             (nets.target_critic2, x, fcache))
+    both critics regress toward, from the target critics' input ``x2`` (see
+    ``_target_inputs``); no terminal masking (continuing task)."""
+    (q1, _), (q2, _) = _twin(pool, (_critic_q, nets.target_critic1, *x2),
+                             (_critic_q, nets.target_critic2, *x2))
     y = rewards + gamma * np.minimum(q1, q2)
     if not np.all(np.isfinite(y)):
         raise nn.NonFiniteError("non-finite critic target")
@@ -242,63 +263,87 @@ def _critic_step(critic: nn.MLP, opt: nn.Adam, x: np.ndarray,
     return loss
 
 
-def update_critics(nets: AgentNets, batch, opts: tuple[nn.Adam, nn.Adam],
-                   gamma: float, pool=None) -> tuple[float, float]:
-    """One Adam step per critic on the mean squared Bellman error."""
-    s, a, r, s2 = batch
-    y = critic_target(nets, r, s2, gamma, pool)
-    x, _ = nets.critic_input(s, a)
-    return _twin(pool, _critic_step, (nets.critic1, opts[0], x, y),
-                 (nets.critic2, opts[1], x, y))
+def update_critics(nets: AgentNets, x: np.ndarray, y: np.ndarray,
+                   opts: tuple[nn.Adam, nn.Adam], pool=None) -> tuple[float, float]:
+    """One Adam step per critic on the mean squared Bellman error of its
+    input x toward the target y."""
+    return _twin(pool, (_critic_step, nets.critic1, opts[0], x, y),
+                 (_critic_step, nets.critic2, opts[1], x, y))
 
 
-def update_actor(nets: AgentNets, states: np.ndarray, opt: nn.Adam,
-                 act_reg: float = 0.0, pool=None) -> float:
-    """One Adam ascent step on mean_batch min(Q1, Q2)(s, pi(s)) - act_reg * ||pi(s)||^2.
+def update_actor(nets: AgentNets, pi, act_reg: float = 0.0,
+                 pool=None) -> tuple[float, np.ndarray]:
+    """The actor's objective mean_batch min(Q1, Q2)(s, pi(s)) - act_reg * ||pi(s)||^2
+    and its ascent gradient with respect to the actions, along which
+    ``polyak_all`` steps the actor.
 
-    The gradient flows through the action slice of the critic input (and the
-    Fourier map when enabled) into the actor; ascent is implemented as
-    descent on the negated objective.
+    ``pi`` is ``_policy_input`` of the batch's states.  The gradient flows
+    through the action slice of the critic input (and the Fourier map when
+    enabled).
     """
-    a, acache = nets.actor.forward(states)
-    x, fcache = nets.critic_input(states, a)
-    (q1, c1), (q2, c2) = _twin(pool, _critic_q, (nets.critic1, x, fcache),
-                               (nets.critic2, x, fcache))
+    a, _, x, fcache = pi
+    (q1, c1), (q2, c2) = _twin(pool, (_critic_q, nets.critic1, x, fcache),
+                               (_critic_q, nets.critic2, x, fcache))
     objective = float(np.mean(np.minimum(q1, q2)))
     if not np.isfinite(objective):
         raise nn.NonFiniteError("non-finite actor objective")
-    b = states.shape[0]
+    b, m = a.shape
     pick1 = (q1 <= q2).astype(np.float32)
-    (_, gin1), (_, gin2) = _twin(pool, partial(nets.critic_backward, params=False),
-                                 (nets.critic1, c1, pick1 / b),
-                                 (nets.critic2, c2, (1.0 - pick1) / b))
-    d = states.shape[1]
-    grad_a = gin1[:, d:] + gin2[:, d:]
+    backward = nets.critic_backward
+    (_, gin1), (_, gin2) = _twin(pool, (backward, nets.critic1, c1, pick1 / b, False),
+                                 (backward, nets.critic2, c2, (1.0 - pick1) / b, False))
+    grad_a = gin1[:, -m:] + gin2[:, -m:]
     if act_reg > 0.0:
         # penalty keeps the delta-action policy away from tanh saturation;
         # it is zero at the fixed point a = 0 of a converged tracking policy
-        grad_a = grad_a - (2.0 * act_reg / states.shape[0]) * a
+        grad_a = grad_a - (2.0 * act_reg / b) * a
         objective -= act_reg * float(np.mean(np.sum(a * a, axis=1)))
-    agrad, _ = nets.actor.backward(acache, -grad_a, inputs=False)  # negate: ascent
-    opt.step(nets.actor, agrad)
-    return objective
+    return objective, grad_a
 
 
-def _polyak_half(target_critic: nn.MLP, critic: nn.MLP, target_actor: nn.MLP,
-                 actor: nn.MLP, actor_part: slice, tau: float) -> None:
-    nn.polyak_update(target_critic, critic, tau)
-    nn.polyak_update(target_actor, actor, tau, actor_part)
+def _polyak_critics(nets: AgentNets, tau: float) -> None:
+    nn.polyak_update(nets.target_critic1, nets.critic1, tau)
+    nn.polyak_update(nets.target_critic2, nets.critic2, tau)
 
 
-def polyak_all(nets: AgentNets, tau: float, pool=None) -> None:
-    """Polyak-average every target network; each half takes one critic and
-    half of the actor, so that the two threads carry the same load."""
-    half = nets.actor.params.size // 2
-    _twin(pool, _polyak_half,
-          (nets.target_critic1, nets.critic1, nets.target_actor, nets.actor,
-           slice(None, half), tau),
-          (nets.target_critic2, nets.critic2, nets.target_actor, nets.actor,
-           slice(half, None), tau))
+def _actor_part(nets: AgentNets, opt: nn.Adam, agrad: np.ndarray, part: slice,
+                tau: float) -> None:
+    opt.step(nets.actor, agrad, part)
+    nn.polyak_update(nets.target_actor, nets.actor, tau, part)
+
+
+def polyak_all(nets: AgentNets, opt: nn.Adam, acache, grad_a: np.ndarray,
+               tau: float, pool=None) -> None:
+    """Step the actor along ``grad_a`` (see ``update_actor``) and
+    Polyak-average every target network.
+
+    This thread runs the actor's backward while the worker averages the
+    critics' targets, which depend only on the critics just stepped.  Then
+    each thread takes half of the actor's flat parameters: its Adam step,
+    then its target's average.  The gradient is checked and counted once
+    before either half writes, so a NonFiniteError moves no parameter.
+    """
+    # the backward of the negated objective: Adam descends
+    (agrad, _), _ = _twin(pool, (nets.actor.backward, acache, -grad_a, True, False),
+                          (_polyak_critics, nets, tau))
+    opt.begin(agrad)
+    half = agrad.size // 2
+    _twin(pool, (_actor_part, nets, opt, agrad, slice(None, half), tau),
+          (_actor_part, nets, opt, agrad, slice(half, None), tau))
+
+
+def learner_step(nets: AgentNets, batch, opts: tuple[nn.Adam, nn.Adam],
+                 actor_opt: nn.Adam, cfg: AgentConfig,
+                 pool=None) -> tuple[float, float, float]:
+    """One learner update on a replay batch, in the stages that the module
+    docstring lists; returns (critic1 loss, critic2 loss, actor objective)."""
+    s, a, r, s2 = batch
+    (x2, x), pi = _twin(pool, (_target_inputs, nets, s, a, s2), (_policy_input, nets, s))
+    y = critic_target(nets, r, x2, cfg.gamma, pool)
+    l1, l2 = update_critics(nets, x, y, opts, pool)
+    objective, grad_a = update_actor(nets, pi, cfg.act_reg, pool)
+    polyak_all(nets, actor_opt, pi[1], grad_a, cfg.tau, pool)
+    return l1, l2, objective
 
 
 @dataclass
@@ -385,10 +430,8 @@ def train(env_cfg: EnvConfig, cfg: AgentConfig, episodes: int,
                     global_step += 1
                     if not warmup and buffer.size >= cfg.batch:
                         batch = buffer.sample(cfg.batch, streams["sample"])
-                        l1, l2 = update_critics(nets, batch, opts, cfg.gamma, pool)
-                        aobj = update_actor(nets, batch[0], actor_opt, cfg.act_reg,
-                                            pool)
-                        polyak_all(nets, cfg.tau, pool)
+                        l1, l2, aobj = learner_step(nets, batch, opts, actor_opt,
+                                                    cfg, pool)
                         closses.append(0.5 * (l1 + l2))
                         aobjs.append(aobj)
             except nn.NonFiniteError as e:
@@ -406,5 +449,7 @@ def train(env_cfg: EnvConfig, cfg: AgentConfig, episodes: int,
             if stats.divergence_note:
                 return stats, last_good
             sigma *= cfg.expl_decay
-            last_good = nets.copy()
+            if ep + 1 < episodes:  # after the last one, train returns nets
+                for name in MLP_NAMES:
+                    np.copyto(getattr(last_good, name).params, getattr(nets, name).params)
     return stats, nets

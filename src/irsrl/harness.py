@@ -233,7 +233,8 @@ def compare_variants(cfg: ExperimentConfig, sweep: str) -> list[dict]:
 
     sweep "variant" compares the three algorithms; "window" sweeps W;
     "irs-size" sweeps M (the latter two use the configured variant).
-    Writes summary.csv, a text table, and an SVG of the training curves.
+    Writes summary_<sweep>.csv, prints a text table, then plots the
+    training curves to an SVG.
     """
     if sweep not in SWEEPS:
         raise cfgmod.ConfigError(f"unknown sweep {sweep!r}")
@@ -258,13 +259,14 @@ def compare_variants(cfg: ExperimentConfig, sweep: str) -> list[dict]:
         f.write("setting,final_snr_db\n")
         for r in results:
             f.write(f"{r['setting']},{r['final_snr_db']!r}\n")
-    plotting.plot_curves(metric_paths, os.path.join(cfg.out_dir, f"sweep_{sweep}.svg"),
-                         labels=labels)
-
+    # the table comes before the plot, which fails when a setting has no
+    # finite point
     width = max(len(r["setting"]) for r in results)
     print(f"{'setting':<{width}}  final mean SNR (dB, last 10 episodes)")
     for r in results:
         print(f"{r['setting']:<{width}}  {r['final_snr_db']:.3f}")
+    plotting.plot_curves(metric_paths, os.path.join(cfg.out_dir, f"sweep_{sweep}.svg"),
+                         labels=labels)
     return results
 
 

@@ -182,21 +182,32 @@ class Adam:
     def for_mlp(cls, mlp: MLP, lr: float) -> "Adam":
         return cls(lr=lr, m=np.zeros_like(mlp.params), v=np.zeros_like(mlp.params))
 
-    def step(self, mlp: MLP, g: np.ndarray) -> None:
-        """One in-place descent step on the flat gradient ``g`` (laid out like
-        ``params``); raises NonFiniteError on bad gradients.  The in-place
-        ufuncs keep the float order of the per-tensor formula
-        params -= lr * (m / c1) / (sqrt(v / c2) + eps), so results are exact."""
+    def begin(self, g: np.ndarray) -> None:
+        """Check the whole flat gradient ``g`` and count one step; raises
+        NonFiniteError on a bad gradient before any parameter moves."""
         if g.shape != self.m.shape:
             raise ValueError(f"gradient shape {g.shape} != {self.m.shape}")
         if not np.isfinite(g).all():
             raise NonFiniteError("non-finite gradient in Adam step")
         self.t += 1
+
+    def step(self, mlp: MLP, g: np.ndarray, part: slice | None = None) -> None:
+        """One in-place descent step on the flat gradient ``g`` (laid out like
+        ``params``); raises NonFiniteError on bad gradients.  With ``part``, a
+        contiguous slice of ``params``, it moves only that part at the step
+        count of the last ``begin(g)``, so one step can run in parts, one per
+        thread, after one check.  The in-place ufuncs keep the float order of
+        the per-tensor formula params -= lr * (m / c1) / (sqrt(v / c2) + eps),
+        so results are exact however the step is split."""
+        if part is None:
+            self.begin(g)
+            part = slice(None)
+        lo, hi, _ = part.indices(g.size)
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
-        tmp, denom = np.empty((2, min(ADAM_BLOCK, g.size)), self.m.dtype)
-        for lo in range(0, g.size, ADAM_BLOCK):
-            blk = slice(lo, lo + ADAM_BLOCK)
+        tmp, denom = np.empty((2, min(ADAM_BLOCK, hi - lo)), self.m.dtype)
+        for start in range(lo, hi, ADAM_BLOCK):
+            blk = slice(start, min(start + ADAM_BLOCK, hi))
             m, v, gb, p = self.m[blk], self.v[blk], g[blk], mlp.params[blk]
             t, d = tmp[:gb.size], denom[:gb.size]
             np.multiply(gb, 1.0 - self.beta1, out=t)

@@ -1,3 +1,4 @@
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -9,7 +10,8 @@ import pytest
 from irsrl import nn
 from irsrl import agent as ag
 from irsrl.agent import (AgentConfig, AgentNets, ReplayBuffer, critic_target,
-                         polyak_all, select_action, update_actor, update_critics)
+                         learner_step, polyak_all, select_action, update_actor,
+                         update_critics)
 from irsrl.env import EnvConfig
 
 
@@ -31,6 +33,29 @@ def learner_batch(rng, n=8, sdim=6, adim=2):
             rng.uniform(-np.pi, np.pi, (n, adim)).astype(np.float32),
             rng.standard_normal(n).astype(np.float32),
             rng.standard_normal((n, sdim)).astype(np.float32))
+
+
+def target(nets, r, s2, gamma):
+    """critic_target at next states s2 and the target actor's actions there."""
+    return critic_target(nets, r, nets.critic_input(s2, nets.target_actor.forward(s2)[0]),
+                         gamma)
+
+
+def critic_steps(nets, batch, opts, gamma, pool=None):
+    """update_critics on a replay batch, toward its clipped target."""
+    s, a, r, s2 = batch
+    return update_critics(nets, nets.critic_input(s, a)[0], target(nets, r, s2, gamma),
+                          opts, pool)
+
+
+def actor_step(nets, states, opt, act_reg=0.0):
+    """update_actor's objective, after one Adam step of the actor along its
+    gradient."""
+    pi = ag._policy_input(nets, states)
+    objective, grad_a = update_actor(nets, pi, act_reg)
+    agrad, _ = nets.actor.backward(pi[1], -grad_a, inputs=False)
+    opt.step(nets.actor, agrad)
+    return objective
 
 
 class TestReplayBuffer:
@@ -123,20 +148,20 @@ class TestCriticTarget:
             for w in critic.weights:
                 w[:] = 0.0
             critic.biases[-1][:] = 2.0
-        y = critic_target(nets, np.array([1.0]), np.zeros((1, 6)), 0.99)
+        y = target(nets, np.array([1.0]), np.zeros((1, 6)), 0.99)
         assert y[0] == pytest.approx(2.98)
 
     def test_gamma_zero_limit(self):
         _, nets = make_nets()
         r = np.array([3.0, -1.0])
-        y = critic_target(nets, r, np.zeros((2, 6)), 1e-12)
+        y = target(nets, r, np.zeros((2, 6)), 1e-12)
         assert np.allclose(y, r, atol=1e-6)
 
     def test_identical_twins_reduce_to_single(self):
         _, nets = make_nets()
         nets.target_critic2 = nets.target_critic1.copy()
         s2 = np.random.default_rng(5).standard_normal((4, 6)).astype(np.float32)
-        y = critic_target(nets, np.zeros(4), s2, 0.9)
+        y = target(nets, np.zeros(4), s2, 0.9)
         a2, _ = nets.target_actor.forward(s2)
         q, _ = nets.critic_forward(nets.target_critic1, s2, a2)
         assert np.allclose(y, 0.9 * q)
@@ -150,12 +175,12 @@ class TestUpdateCritics:
         nets.critic2 = nets.critic1.copy()
         nets.target_critic2 = nets.target_critic1.copy()
         # rewards chosen so that y equals the current Q exactly
-        y_next1 = critic_target(nets, np.zeros(8), s2, cfg.gamma)
+        y_next1 = target(nets, np.zeros(8), s2, cfg.gamma)
         q1, _ = nets.critic_forward(nets.critic1, s, a)
         r = q1 - y_next1
         before = [w.copy() for w in nets.critic1.weights]
         opts = (nn.Adam.for_mlp(nets.critic1, 1e-3), nn.Adam.for_mlp(nets.critic2, 1e-3))
-        l1, l2 = update_critics(nets, (s, a, r, s2), opts, cfg.gamma)
+        l1, l2 = critic_steps(nets, (s, a, r, s2), opts, cfg.gamma)
         assert l1 == pytest.approx(0.0, abs=1e-10)
         for w, w0 in zip(nets.critic1.weights, before):
             assert np.allclose(w, w0, atol=1e-7)
@@ -165,12 +190,12 @@ class TestUpdateCritics:
         rng = np.random.default_rng(8)
         s, a, r, s2 = learner_batch(rng, n=1)
         opts = (nn.Adam.for_mlp(nets.critic1, 1e-2), nn.Adam.for_mlp(nets.critic2, 1e-2))
-        y1 = critic_target(nets, r, s2, cfg.gamma)
+        y1 = target(nets, r, s2, cfg.gamma)
         q_before, _ = nets.critic_forward(nets.critic1, s, a)
         for _ in range(20):
-            update_critics(nets, (s, a, r, s2), opts, cfg.gamma)
+            critic_steps(nets, (s, a, r, s2), opts, cfg.gamma)
         q_after, _ = nets.critic_forward(nets.critic1, s, a)
-        y_after = critic_target(nets, r, s2, cfg.gamma)
+        y_after = target(nets, r, s2, cfg.gamma)
         assert abs(q_after[0] - y_after[0]) < abs(q_before[0] - y1[0])
 
     def test_fourier_critic_input_width(self):
@@ -179,7 +204,7 @@ class TestUpdateCritics:
         rng = np.random.default_rng(9)
         batch = learner_batch(rng)
         opts = (nn.Adam.for_mlp(nets.critic1, 1e-3), nn.Adam.for_mlp(nets.critic2, 1e-3))
-        update_critics(nets, batch, opts, cfg.gamma)  # shapes must be consistent
+        critic_steps(nets, batch, opts, cfg.gamma)  # shapes must be consistent
 
     def test_gamma_zero_regression(self):
         # with a myopic discount the critics converge to batch regression of r
@@ -189,7 +214,7 @@ class TestUpdateCritics:
         opts = (nn.Adam.for_mlp(nets.critic1, 1e-3), nn.Adam.for_mlp(nets.critic2, 1e-3))
         loss = None
         for _ in range(5000):
-            loss, _ = update_critics(nets, batch, opts, cfg.gamma)
+            loss, _ = critic_steps(nets, batch, opts, cfg.gamma)
         assert loss < 1e-3
 
 
@@ -216,7 +241,7 @@ class TestUpdateActor:
         opt = nn.Adam.for_mlp(nets.actor, 1e-2)
         states = rng.standard_normal((16, sdim)).astype(np.float32)
         for _ in range(500):
-            update_actor(nets, states, opt)
+            actor_step(nets, states, opt)
         a, _ = nets.actor.forward(states)
         assert np.max(np.abs(a)) < 0.05
 
@@ -229,7 +254,7 @@ class TestUpdateActor:
         states = np.random.default_rng(21).standard_normal((8, 6)).astype(np.float32)
         a0, _ = nets.actor.forward(states)
         for _ in range(300):
-            update_actor(nets, states, opt, act_reg=0.1)
+            actor_step(nets, states, opt, act_reg=0.1)
         a1, _ = nets.actor.forward(states)
         assert np.mean(np.abs(a1)) < np.mean(np.abs(a0))
         assert np.max(np.abs(a1)) < 0.05
@@ -242,7 +267,7 @@ class TestUpdateActor:
         before = [w.copy() for w in nets.actor.weights]
         opt = nn.Adam.for_mlp(nets.actor, 1e-2)
         states = np.random.default_rng(12).standard_normal((8, 6)).astype(np.float32)
-        update_actor(nets, states, opt)
+        actor_step(nets, states, opt)
         for w, w0 in zip(nets.actor.weights, before):
             assert np.allclose(w, w0, atol=1e-8)
 
@@ -251,7 +276,7 @@ class TestUpdateActor:
         before = [w.copy() for w in nets.actor.weights]
         opt = nn.Adam.for_mlp(nets.actor, 0.0)
         states = np.random.default_rng(13).standard_normal((8, 6)).astype(np.float32)
-        update_actor(nets, states, opt)
+        actor_step(nets, states, opt)
         for w, w0 in zip(nets.actor.weights, before):
             assert np.array_equal(w, w0)
 
@@ -266,7 +291,7 @@ class TestUpdateActor:
                     nets.target_critic2, nets.target_critic1)
             opt = nn.Adam.for_mlp(nets.actor, 1e-3)
             states = np.random.default_rng(14).standard_normal((8, 6)).astype(np.float32)
-            update_actor(nets, states, opt)
+            actor_step(nets, states, opt)
             results.append([w.copy() for w in nets.actor.weights])
         for w_a, w_b in zip(*results):
             assert np.array_equal(w_a, w_b)
@@ -281,48 +306,94 @@ def pool():
 
 class TestTwinThread:
     def _steps(self, critic_input, pool=None):
-        """Targets, losses, objectives and all parameters over four updates,
-        and the threads that stepped critic2's optimizer."""
-        cfg, nets = make_nets(critic_input=critic_input)
+        """Losses, objectives, all parameters and Adam moments over four
+        learner steps, and the threads that stepped critic2's optimizer and
+        each part of the actor's."""
+        cfg, nets = make_nets(critic_input=critic_input, act_reg=0.1, tau=0.1)
         opts = (nn.Adam.for_mlp(nets.critic1, 1e-2), nn.Adam.for_mlp(nets.critic2, 1e-2))
         actor_opt = nn.Adam.for_mlp(nets.actor, 1e-2)
         threads = set()
 
-        def step2(mlp, grads, step=opts[1].step):
-            threads.add(threading.current_thread().name.split("_")[0])
-            step(mlp, grads)
+        def record(opt, who):
+            def step(mlp, grads, part=None, step=opt.step):
+                name = threading.current_thread().name.split("_")[0]
+                threads.add((who(part), name))
+                step(mlp, grads, part)
+            opt.step = step
 
-        opts[1].step = step2
+        record(opts[1], lambda part: "critic2")
+        record(actor_opt, lambda part: f"actor[{part.start}:{part.stop}]")
         rng = np.random.default_rng(30)
         out = []
         for _ in range(4):
-            s, a, r, s2 = learner_batch(rng)
-            out.append(critic_target(nets, r, s2, cfg.gamma, pool))
-            out.extend(update_critics(nets, (s, a, r, s2), opts, cfg.gamma, pool))
-            out.append(update_actor(nets, s, actor_opt, 0.1, pool))
-            polyak_all(nets, 0.1, pool)
+            out.extend(learner_step(nets, learner_batch(rng), opts, actor_opt, cfg, pool))
         out.extend(getattr(nets, name).params.copy() for name in ag.MLP_NAMES)
-        return out, threads
+        out.extend(x for opt in (*opts, actor_opt) for x in (opt.m, opt.v, opt.t))
+        return out, threads, nets.actor.params.size // 2
 
     @pytest.mark.parametrize("critic_input", ag.CRITIC_INPUTS)
     def test_threaded_matches_serial(self, critic_input, pool):
-        serial, serial_threads = self._steps(critic_input)
-        threaded, threaded_threads = self._steps(critic_input, pool)
-        assert serial_threads == {"MainThread"}
-        assert threaded_threads == {"irsrl-twin-critic"}
+        serial, serial_threads, half = self._steps(critic_input)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # hand the interpreter lock over often
+        try:
+            threaded, threaded_threads, _ = self._steps(critic_input, pool)
+        finally:
+            sys.setswitchinterval(interval)
+        first, second = f"actor[None:{half}]", f"actor[{half}:None]"
+        assert serial_threads == {("critic2", "MainThread"), (first, "MainThread"),
+                                  (second, "MainThread")}
+        assert threaded_threads == {("critic2", "irsrl-twin-critic"),
+                                    (first, "MainThread"), (second, "irsrl-twin-critic")}
         assert len(serial) == len(threaded)
         for x, y in zip(serial, threaded):
             assert np.array_equal(x, y)
 
     def test_polyak_all_covers_every_parameter_once(self, pool):
-        _, nets = make_nets(critic_input="fourier")
+        # the split step equals the actor's backward, one whole Adam step and
+        # a whole Polyak average of each target
+        cfg, nets = make_nets(critic_input="fourier")
         for name in ag.MLP_NAMES[:3]:
             getattr(nets, name).params[:] += 1.0
-        ref = nets.copy()
-        polyak_all(nets, 0.3, pool)
-        for name in ag.MLP_NAMES[3:]:
-            nn.polyak_update(getattr(ref, name), getattr(ref, name.removeprefix("target_")), 0.3)
-            assert np.array_equal(getattr(nets, name).params, getattr(ref, name).params)
+        opt = nn.Adam.for_mlp(nets.actor, 1e-2)
+        states = np.random.default_rng(32).standard_normal((8, 6)).astype(np.float32)
+        for _ in range(2):  # the second step starts from non-zero moments
+            pi = ag._policy_input(nets, states)
+            _, grad_a = update_actor(nets, pi, 0.1)
+            ref, ref_opt = nets.copy(), nn.Adam(opt.lr, opt.m.copy(), opt.v.copy(), opt.t)
+            polyak_all(nets, opt, pi[1], grad_a, 0.3, pool)
+            agrad, _ = ref.actor.backward(pi[1], -grad_a, inputs=False)
+            ref_opt.step(ref.actor, agrad)
+            for name in ag.MLP_NAMES[3:]:
+                main = getattr(ref, name.removeprefix("target_"))
+                nn.polyak_update(getattr(ref, name), main, 0.3)
+            for name in ag.MLP_NAMES:
+                assert np.array_equal(getattr(nets, name).params, getattr(ref, name).params)
+            assert (opt.t, opt.m.tobytes(), opt.v.tobytes()) == (
+                ref_opt.t, ref_opt.m.tobytes(), ref_opt.v.tobytes())
+
+    def test_nonfinite_actor_gradient_moves_nothing(self, pool):
+        cfg, nets = make_nets(critic_input="fourier")
+        opts = (nn.Adam.for_mlp(nets.critic1, 1e-3), nn.Adam.for_mlp(nets.critic2, 1e-3))
+        actor_opt = nn.Adam.for_mlp(nets.actor, 1e-3)
+        rng = np.random.default_rng(33)
+        learner_step(nets, learner_batch(rng), opts, actor_opt, cfg, pool)
+        real = nets.actor.backward
+
+        def backward(*args):
+            agrad, gin = real(*args)
+            agrad[-1] = np.nan  # in the second half only
+            return agrad, gin
+
+        nets.actor.backward = backward
+        before = (nets.actor.params.copy(), actor_opt.m.copy(), actor_opt.v.copy(),
+                  nets.target_actor.params.copy())
+        with pytest.raises(nn.NonFiniteError, match="gradient in Adam step"):
+            learner_step(nets, learner_batch(rng), opts, actor_opt, cfg, pool)
+        assert actor_opt.t == 1
+        after = (nets.actor.params, actor_opt.m, actor_opt.v, nets.target_actor.params)
+        for x, y in zip(before, after):
+            assert np.array_equal(x, y)
 
     @pytest.mark.parametrize("bad", [1, 2])
     def test_nonfinite_half_waits_for_other_half(self, bad, pool):
@@ -340,7 +411,7 @@ class TestTwinThread:
         good.step = slow_step
         batch = learner_batch(np.random.default_rng(31))
         with pytest.raises(nn.NonFiniteError, match="critic loss"):
-            update_critics(nets, batch, opts, cfg.gamma, pool)
+            critic_steps(nets, batch, opts, cfg.gamma, pool)
         assert finished == [True]
         assert good.t == 1
 

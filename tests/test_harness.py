@@ -255,6 +255,29 @@ class TestRunExperiment:
             assert all(np.isnan(last[k]) for k in ("mean_snr_db", "critic_loss",
                                                     "actor_obj"))
 
+    def test_diverged_run_keeps_last_episode_end(self, tmp_path, monkeypatch):
+        # a run that diverges in episode 2 writes the networks at the end of
+        # episode 1, which a clean two-episode run writes too
+        def run(out, **over):
+            return harness.run_experiment(resolve(
+                {**TINY, "variant": "ff", "seeds": [0], "out_dir": str(tmp_path / out), **over},
+                use_env=False))
+
+        run("clean", episodes=2)
+        real_step = IrsEnv.step
+
+        def nan_step(env, action):
+            state, reward = real_step(env, action)
+            env.steps_taken = getattr(env, "steps_taken", 0) + 1
+            late = env.steps_taken > 2 * TINY["episode_len"]
+            return state, float("nan") if late else reward
+
+        monkeypatch.setattr(IrsEnv, "step", nan_step)
+        manifest = run("diverged")
+        assert manifest["seeds"]["0"].startswith("diverged (episode 2:")
+        assert ((tmp_path / "diverged" / "ff" / "seed0.ckpt").read_bytes()
+                == (tmp_path / "clean" / "ff" / "seed0.ckpt").read_bytes())
+
     def test_failed_seed_keeps_traceback(self, tmp_path, monkeypatch):
         real_train = agent.train
 
@@ -580,6 +603,9 @@ class TestCli:
             "k_fourier": 4, "out_dir": str(tmp_path)}))
         r = self._run("compare", "--config", str(p), "--sweep", "window")
         assert r.returncode == 3
+        # the table is printed before the plot fails
+        assert [line.split() for line in r.stdout.splitlines()[1:]] == [
+            [f"w={w}", "nan"] for w in (1, 3, 5)]
         last = r.stderr.strip().splitlines()[-1]
         assert last.startswith(f"error: {tmp_path}") and (
             "metrics.csv: no finite data points" in last)

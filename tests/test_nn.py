@@ -290,6 +290,27 @@ class TestAdam:
                 assert a.dtype == dtype
                 assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("split", [25, 28], ids=["inside-block", "block-edge"])
+    def test_two_parts_equal_one_step(self, dtype, split, monkeypatch):
+        # 51 parameters in blocks of 7: 28 is a block edge, 25 is not
+        monkeypatch.setattr(nn, "ADAM_BLOCK", 7)
+        rng = np.random.default_rng(14)
+        whole = nn.MLP.init([4, 6, 3], rng, dtype=dtype)
+        parts = whole.copy()
+        opt_whole, opt_parts = nn.Adam.for_mlp(whole, 1e-2), nn.Adam.for_mlp(parts, 1e-2)
+        for _ in range(3):
+            g = rng.standard_normal(whole.params.size).astype(dtype)
+            opt_whole.step(whole, g)
+            opt_parts.begin(g)
+            opt_parts.step(parts, g, slice(split, None))
+            opt_parts.step(parts, g, slice(None, split))
+        assert opt_parts.t == opt_whole.t == 3
+        for a, b in ((whole.params, parts.params), (opt_whole.m, opt_parts.m),
+                     (opt_whole.v, opt_parts.v)):
+            assert a.dtype == dtype
+            assert np.array_equal(a, b)
+
 
 class TestPolyak:
     def _pair(self):
