@@ -64,7 +64,7 @@ class AgentConfig:
     sigma_b2: float = 0.01          # variance of Fourier kernel entries
     k_fourier: int = 256
     reward_scale: float = 1.0       # scales rewards seen by the critics only
-    act_reg: float = 0.0            # actor penalty weight on mean ||a||^2
+    act_reg: float = 0.05           # actor penalty weight on mean ||a||^2
 
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
@@ -180,12 +180,13 @@ def _critic_q(critic: nn.MLP, x: np.ndarray, fcache):
     return q[..., 0], (cache, fcache)
 
 
-def _cpus() -> int:
-    """How many CPUs this process may run on."""
+def allowed_cpus() -> list[int]:
+    """The CPUs this process may run on, in order; every CPU on a platform
+    without an affinity call."""
     try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+        return sorted(os.sched_getaffinity(0))
+    except AttributeError:
+        return list(range(os.cpu_count() or 1))
 
 
 def _twin(pool, first, second):
@@ -213,10 +214,13 @@ def select_action(nets: AgentNets, state: np.ndarray, sigma: float,
                   action_dim: int, rng: np.random.Generator,
                   warmup: bool = False) -> np.ndarray:
     """Exploratory action: uniform during warmup, else clamped Gaussian noise
-    around the deterministic actor output."""
+    around the deterministic actor output.  A non-finite actor output (the
+    actor's parameters overflowed) is a NonFiniteError."""
     if warmup:
         return rng.uniform(-np.pi, np.pi, size=action_dim)
     a = nets.actor.forward(state[None].astype(np.float32))[0][0]  # a one-row batch
+    if not np.isfinite(a).all():
+        raise nn.NonFiniteError("non-finite action")
     if sigma > 0:
         a = a + sigma * rng.standard_normal(action_dim)
     return np.minimum(np.maximum(a, -np.pi), np.pi)
@@ -405,7 +409,7 @@ def train(env_cfg: EnvConfig, cfg: AgentConfig, episodes: int,
     global_step = 0
     last_good = nets.copy()
 
-    if nets.critic1.params.size >= TWIN_MIN_PARAMS and _cpus() >= 2:
+    if nets.critic1.params.size >= TWIN_MIN_PARAMS and len(allowed_cpus()) >= 2:
         # imported here: the import takes about 5 ms, which runs that never
         # start the worker (desk) should not pay
         from concurrent.futures import ThreadPoolExecutor

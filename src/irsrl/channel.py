@@ -28,6 +28,9 @@ TWO_PI = 2.0 * np.pi
 # Distances below this floor are clamped before the pathloss law (avoids the
 # log singularity at d = 0).
 D_MIN = 0.5
+# Side of the cube [0, CUBE_SIDE]^3 (meters) that holds every node; positions
+# in the state are normalized by it.
+CUBE_SIDE = 20.0
 
 
 @dataclass
@@ -85,7 +88,6 @@ class Geometry:
     source_pos: np.ndarray = field(default_factory=lambda: np.array([1.0, 10.0, 2.0]))
     irs_pos: np.ndarray = field(default_factory=lambda: np.array([10.0, 2.0, 3.0]))
     dest_cells: np.ndarray = field(default_factory=_default_dest_cells)
-    cube_side: float = 20.0
 
     def __post_init__(self):
         self.source_pos = np.asarray(self.source_pos, dtype=float)
@@ -93,14 +95,12 @@ class Geometry:
         self.dest_cells = np.atleast_2d(np.asarray(self.dest_cells, dtype=float))
         if self.dest_cells.shape[0] < 1 or self.dest_cells.shape[1] != 3:
             raise ValueError("dest_cells must be a nonempty (n, 3) array")
-        if not self.cube_side > 0:
-            raise ValueError(f"cube_side must be > 0, got {self.cube_side!r}")
         for name, p in (("source_pos", self.source_pos), ("irs_pos", self.irs_pos)):
             if p.shape != (3,):
                 raise ValueError(f"{name} must be a 3-vector")
-            if not np.all((p >= 0) & (p <= self.cube_side)):
+            if not np.all((p >= 0) & (p <= CUBE_SIDE)):
                 raise ValueError(f"{name} lies outside the cube")
-        if not np.all((self.dest_cells >= 0) & (self.dest_cells <= self.cube_side)):
+        if not np.all((self.dest_cells >= 0) & (self.dest_cells <= CUBE_SIDE)):
             raise ValueError("dest_cells lie outside the cube")
         # scalar norms, as the per-slot formula took: a vectorized norm may
         # differ in the last bit
@@ -117,7 +117,7 @@ class Geometry:
         step = np.min(dist[one_axis], initial=np.inf)
         adjacent = one_axis & (np.abs(dist - step) < 1e-9)
         self.moves = [[i] + np.flatnonzero(a).tolist() for i, a in enumerate(adjacent)]
-        self.norm_pos = self.dest_cells / self.cube_side
+        self.norm_pos = self.dest_cells / CUBE_SIDE
         self._pathloss: dict[float, tuple[list[float], float]] = {}
 
     @property

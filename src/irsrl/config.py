@@ -10,12 +10,16 @@ the small step budget; the desk optimizer block is tuned accordingly.
 Either way each seed's env draws one channel and carries it across
 episodes, which are time limits of a continuing task.
 
+The desk preset is ``ExperimentConfig``'s own defaults.  The paper preset
+is the defaults of ``ChannelParams``, ``EnvConfig`` and ``AgentConfig``,
+plus its seeds and episode count (``_PAPER_OVERRIDES``).
+
 Any config key can be overridden by an environment variable IRSRL_<KEY>
 (value parsed as JSON, falling back to a bare string).
 
 Each key is validated once, in the ``__post_init__`` of the dataclass that
-owns it; ``resolve`` builds every component config, so a bad value is a
-``ConfigError`` before any run starts.
+owns it; ``ExperimentConfig`` builds every component config, so a bad value
+is a ``ConfigError`` before any run starts.
 """
 
 from __future__ import annotations
@@ -47,11 +51,12 @@ class ConfigError(Exception):
 
 @dataclass
 class ExperimentConfig:
-    """Every config key.  A key that shares its name with a field of
-    ``ChannelParams``, ``Geometry``, ``EnvConfig`` or ``AgentConfig`` feeds
-    that field and its range is checked there.  Here every key's type is
+    """Every config key, defaulting to the desk preset.  A key that shares
+    its name with a field of ``ChannelParams``, ``Geometry``, ``EnvConfig``
+    or ``AgentConfig`` feeds that field and its range is checked there, when
+    construction builds the component configs.  Here every key's type is
     checked against its annotation, and the range of the keys that no
-    component owns; either failure is a ``ConfigError``, also from
+    component owns; any failure is a ``ConfigError``, also from
     ``dataclasses.replace``."""
 
     preset: str = "desk"
@@ -78,7 +83,6 @@ class ExperimentConfig:
     source_pos: list[float] | None = None
     irs_pos: list[float] | None = None
     dest_cells: list[list[float]] | None = None
-    cube_side: float = 20.0
     # agent
     gamma: float = 0.9
     tau: float = 0.005
@@ -111,6 +115,11 @@ class ExperimentConfig:
                               f">= 0, got {s!r}")
         if not self.episodes >= 1:
             raise ConfigError(f"episodes must be >= 1, got {self.episodes!r}")
+        try:
+            env_config(self)
+            agent_config(self)
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
 
 
 def _conforms(value, tp) -> bool:
@@ -129,27 +138,12 @@ def _conforms(value, tp) -> bool:
     return isinstance(value, tp)
 
 
-_PAPER_OVERRIDES = dict(
-    preset="paper",
-    seeds=list(range(10)),
-    episodes=50,
-    episode_len=300,
-    m=20,
-    n=5,
-    w=5,
-    hidden=400,
-    k_fourier=256,
-    corr_time=5.0,
-    phase_drift=0.2,
-    gamma=0.99,
-    lr=2e-4,
-    buffer=1_000_000,
-    expl_decay=0.999,
-    warmup_steps=1000,
-    reward_scale=1.0,
-)
-
 _HINTS = typing.get_type_hints(ExperimentConfig)
+
+_PAPER_OVERRIDES = dict(
+    preset="paper", seeds=list(range(10)), episodes=50,
+    **{f.name: f.default for owner in (ChannelParams, EnvConfig, AgentConfig)
+       for f in dataclasses.fields(owner) if f.name in _HINTS})
 
 
 def resolve(overrides: dict, use_env: bool = True) -> ExperimentConfig:
@@ -177,13 +171,7 @@ def resolve(overrides: dict, use_env: bool = True) -> ExperimentConfig:
     # their merged "preset" value
     if merged.get("preset", "desk") == "paper":
         merged = {**_PAPER_OVERRIDES, **merged}
-    cfg = ExperimentConfig(**merged)
-    try:
-        env_config(cfg)
-        agent_config(cfg)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
-    return cfg
+    return ExperimentConfig(**merged)
 
 
 def load_config(path) -> ExperimentConfig:

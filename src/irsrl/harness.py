@@ -110,7 +110,7 @@ def _train_pooled(cfg: ExperimentConfig, out: str, cpus: list[int]) -> dict:
     # spawn would import numpy and irsrl again in every worker of every run
     ctx = multiprocessing.get_context("fork")
     n = len(cpus)
-    own_cpus = os.sched_getaffinity(0)
+    own_cpus = agent.allowed_cpus()
     workers = []
     results = {}
     try:
@@ -161,16 +161,14 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     out = os.path.join(cfg.out_dir, cfg.variant)
     os.makedirs(out, exist_ok=True)
 
-    try:
-        cpus = sorted(os.sched_getaffinity(0))[:len(cfg.seeds)]
-    except AttributeError:  # no affinity call on this platform
-        cpus = []
+    cpus = agent.allowed_cpus()[:len(cfg.seeds)]
     blas = _openblas_thread_controls()
     own_threads = [get() for get, _ in blas]
     try:
         for _, put in blas:  # before any fork, so the workers inherit it
             put(1)
-        # a BLAS whose threads cannot be limited would oversubscribe the CPUs
+        # a BLAS whose threads cannot be limited would oversubscribe the CPUs;
+        # finding blas needs /proc, so the pool runs only on Linux
         if blas and len(cpus) > 1:
             results = _train_pooled(cfg, out, cpus)
         else:

@@ -30,42 +30,14 @@ def report(name: str, ok: bool, detail: str = ""):
 
 
 def test_criterion_1_oracle_suite():
-    rng = np.random.default_rng(101)
-
-    # beamformer optimality vs 1000 random feasible beamformers
-    ok_bf = True
-    c = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    b_star = sig.optimal_beamformer(c, 2.0)
-    best = np.abs(c @ b_star)
-    for _ in range(1000):
-        b = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        b *= np.sqrt(2.0) / np.linalg.norm(b)
-        ok_bf &= np.abs(c @ b) <= best * (1 + 1e-12)
-
-    # N=1 closed form == upper bound (1e-9 rel), dominates 16-level grid, M<=4
-    ok_n1 = True
-    for m in (2, 3, 4):
-        for _ in range(20):
-            h = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-            g = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-            G = g[:, None]
-            _, snr_star = sig.phase_oracle_single_antenna(h, g, 1.0, 1.0)
-            bound = sig.snr_upper_bound(h, G, 1.0, 1.0)
-            ok_n1 &= abs(snr_star - bound) <= 1e-9 * bound
-            _, snr_grid = sig.exhaustive_phase_search(h, G, 16, 1.0, 1.0)
-            ok_n1 &= snr_star >= snr_grid * (1 - 1e-12)
-
-    # bound chain on 1000 random instances
-    ok_chain = True
-    for _ in range(1000):
-        h = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        G = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-        theta = rng.uniform(-np.pi, np.pi, 3)
-        ok_chain &= sig.snr(h, theta, G, 1.0, 1.0) <= sig.snr_upper_bound(
-            h, G, 1.0, 1.0) * (1 + 1e-12)
-
-    report("criterion 1: oracle suite", ok_bf and ok_n1 and ok_chain,
-           f"beamformer={ok_bf} n1={ok_n1} chain={ok_chain}")
+    # harness.oracle_check, the suite behind `irsrl oracle-check`, at each M
+    # it accepts (it caps M at 4)
+    results = {m: harness.oracle_check(cfgmod.resolve({"m": m}, use_env=False))
+               for m in (2, 3, 4)}
+    failed = [f"m={m}: {name}" for m, props in results.items()
+              for name, passed in props.items() if not passed]
+    report("criterion 1: oracle suite", not failed,
+           f"{len(results[2])} properties at m=2, 3, 4; failed: {failed or 'none'}")
 
 
 # -- criterion 2: channel statistics ----------------------------------------

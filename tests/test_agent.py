@@ -429,7 +429,7 @@ class TestTrain:
     def test_twin_worker_matches_serial_and_is_joined(self, monkeypatch):
         serial_rows, serial_tensors = self._train()
         monkeypatch.setattr(ag, "TWIN_MIN_PARAMS", 0)
-        monkeypatch.setattr(ag, "_cpus", lambda: 2)
+        monkeypatch.setattr(ag, "allowed_cpus", lambda: [0, 1])
         threads = set()
 
         def critic_step(*args, step=ag._critic_step):

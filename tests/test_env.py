@@ -154,9 +154,9 @@ def reference_episodes(cfg, seed, actions, episodes):
         return h, 10.0 ** (g_db / 20.0) * np.exp(1j * ph.g_phases)
 
     def state(cell, window, prev_db):
-        parts = [g.dest_cells[cell] / g.cube_side]
+        parts = [g.dest_cells[cell] / ch.CUBE_SIDE]
         for c, th in window:
-            parts += [g.dest_cells[c] / g.cube_side, th]
+            parts += [g.dest_cells[c] / ch.CUBE_SIDE, th]
         if cfg.snr_in_state:
             parts.append(np.array([prev_db / 100.0]))
         return np.concatenate(parts)

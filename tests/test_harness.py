@@ -5,6 +5,7 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -83,10 +84,25 @@ class TestConfig:
         assert cfg.episode_len == 300
         assert cfg.hidden == 400
         assert len(cfg.seeds) == 10
+        assert cfg.act_reg == 0.05
+        assert cfg.tau == 0.005
+        assert cfg.expl_sigma0 == 0.1 * np.pi
+        assert cfg.expl_decay == 0.999
+        assert cfg.warmup_steps == 1000
+        assert cfg.k_fourier == 256
+        assert cfg.reward_scale == 1.0
 
     def test_rejects_bad_gamma(self):
         with pytest.raises(ConfigError, match="gamma"):
             resolve({"gamma": 1.5}, use_env=False)
+
+    @pytest.mark.parametrize("key, value", [
+        ("gamma", 1.5), ("dest_cells", [[14.5, 14.5, 25.0]]),
+    ])
+    def test_replace_validates_component_keys(self, key, value):
+        # the CLI and compare derive configs with replace()
+        with pytest.raises(ConfigError, match=key):
+            replace(resolve({}, use_env=False), **{key: value})
 
     @pytest.mark.parametrize("key, value", [
         ("preset", "huge"), ("variant", "td3"),
@@ -98,7 +114,7 @@ class TestConfig:
         ("lr", 0.0), ("hidden", 0), ("n_hidden_layers", 0), ("buffer", 0),
         ("expl_sigma0", -0.1), ("expl_decay", 0.0), ("warmup_steps", -1),
         ("sigma_b2", 0.0), ("k_fourier", 0), ("reward_scale", 0.0),
-        ("act_reg", -0.1), ("cube_side", 0.0), ("cube_side", -1.0), ("buffer", 10),
+        ("act_reg", -0.1), ("buffer", 10),
         pytest.param("seeds", [-1], id="seeds-negative"),
         pytest.param("seeds", [0, 0], id="seeds-repeated"),
         # 10 ** (dBm / 10) mW overflows or is 0
@@ -159,6 +175,9 @@ class TestConfig:
         # the grid step is worked out from dest_cells
         with pytest.raises(ConfigError, match="unknown config key.*cell_side"):
             resolve({"cell_side": 1.0}, use_env=False)
+        # the cube that holds the nodes is a constant of the channel model
+        with pytest.raises(ConfigError, match="unknown config key.*cube_side"):
+            resolve({"cube_side": 20.0}, use_env=False)
 
     def test_round_trip(self, tmp_path):
         # the config saved in manifest.json is the config that ran
@@ -277,6 +296,36 @@ class TestRunExperiment:
         assert manifest["seeds"]["0"].startswith("diverged (episode 2:")
         assert ((tmp_path / "diverged" / "ff" / "seed0.ckpt").read_bytes()
                 == (tmp_path / "clean" / "ff" / "seed0.ckpt").read_bytes())
+
+    def test_non_finite_actor_is_a_divergence(self, tmp_path, monkeypatch):
+        # an Adam step can overflow the actor's parameters from a finite
+        # gradient; here the 15th update (episode 1) poisons them instead
+        def run(out, **over):
+            return harness.run_experiment(resolve(
+                {**TINY, "variant": "base", "out_dir": str(tmp_path / out), **over},
+                use_env=False))
+
+        run("clean", episodes=1)
+        real_step = agent.learner_step
+
+        def poisoned_step(nets, *args):
+            out = real_step(nets, *args)
+            nets.updates = getattr(nets, "updates", 0) + 1
+            if nets.updates == 15:
+                nets.actor.params[:] = np.nan
+            return out
+
+        monkeypatch.setattr(agent, "learner_step", poisoned_step)
+        manifest = run("diverged")
+        assert set(manifest["seeds"].values()) == {
+            "diverged (episode 1: non-finite action)"}
+        rows = plotting.read_metrics(tmp_path / "diverged" / "base" / "metrics.csv")
+        for seed in (0, 1):
+            finished, last = [r for r in rows if r["seed"] == seed]
+            assert np.isfinite(finished["mean_snr_db"]) and np.isnan(last["mean_snr_db"])
+            # the checkpoint holds the networks at the end of episode 0
+            assert ((tmp_path / "diverged" / "base" / f"seed{seed}.ckpt").read_bytes()
+                    == (tmp_path / "clean" / "base" / f"seed{seed}.ckpt").read_bytes())
 
     def test_failed_seed_keeps_traceback(self, tmp_path, monkeypatch):
         real_train = agent.train
